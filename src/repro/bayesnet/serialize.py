@@ -35,7 +35,7 @@ from repro.bayesnet.cpt import CPT
 from repro.bayesnet.dag import DAG
 from repro.bayesnet.model import DiscreteBayesNet
 from repro.dataset.encoding import AttributeVocabulary, TableEncoding
-from repro.errors import GraphError
+from repro.errors import GraphError, ModelFormatError
 
 FORMAT_VERSION = 1
 
@@ -247,9 +247,39 @@ def save_bn(
     )
 
 
+def read_model_payload(path: str | Path) -> dict:
+    """Parse a model file written by :func:`save_bn` or the model
+    registry, checking the ``version`` both write.
+
+    Raises :class:`~repro.errors.ModelFormatError` naming the file when
+    it is truncated or not JSON, or when its version is missing or not
+    :data:`FORMAT_VERSION` — never a bare ``JSONDecodeError`` or a
+    ``KeyError`` from deep inside the decoder.
+    """
+    path = Path(path)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(
+            f"model file {path} is truncated or not valid JSON: {exc}"
+        ) from exc
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != FORMAT_VERSION:
+        found = (
+            "no format version"
+            if version is None
+            else f"format version {version!r}"
+        )
+        raise ModelFormatError(
+            f"model file {path} has {found}; this build reads "
+            f"version {FORMAT_VERSION}"
+        )
+    return payload
+
+
 def load_bn(path: str | Path) -> DiscreteBayesNet:
     """Read a network written by :func:`save_bn`."""
-    return bn_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return bn_from_dict(read_model_payload(path))
 
 
 def load_bn_bundle(
@@ -257,7 +287,7 @@ def load_bn_bundle(
 ) -> tuple[DiscreteBayesNet, TableEncoding | None]:
     """Read a network plus its encoding rider (``None`` for files
     written without one — the pre-registry format)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = read_model_payload(path)
     bn = bn_from_dict(payload)
     raw = payload.get("encoding")
     return bn, encoding_from_dict(raw) if raw is not None else None

@@ -3,7 +3,7 @@
 from repro.core.compensatory import (
     CompensatoryScorer,
     log_compensatory,
-    log_compensatory_pool,
+    log_compensatory_segments,
 )
 from repro.core.composition import COMPOSE_SEP, AttributeComposition
 from repro.core.config import BCleanConfig, InferenceMode
@@ -59,7 +59,7 @@ __all__ = [
     "collect_repairs",
     "detect_errors",
     "log_compensatory",
-    "log_compensatory_pool",
+    "log_compensatory_segments",
     "partition",
     "partition_statistics",
     "reliability_flags",

@@ -10,11 +10,12 @@ significant, not the scores themselves" (§5), the engine maps scores of
 one candidate competition onto (0, 1] before taking the logarithm
 Algorithm 1 requires (``log(CS[A_j](c))``).
 
-Two evaluation paths share the same arithmetic: :meth:`~CompensatoryScorer.score`
-walks one candidate at a time (the scalar reference path) and
-:meth:`~CompensatoryScorer.score_pool` scores a whole coded candidate
-pool per context attribute through the vectorised
-:meth:`~repro.core.cooccurrence.CooccurrenceIndex.corr_for` kernel.
+The scalar reference path walks one candidate at a time through
+:meth:`~CompensatoryScorer.score`; the columnar kernel
+(:mod:`repro.exec.state`) sums the same per-context ``corr`` terms for
+a whole shard at once from the co-occurrence index's CSR-aligned
+entries, and maps them to log space with
+:func:`log_compensatory_segments`.
 """
 
 from __future__ import annotations
@@ -86,42 +87,6 @@ class CompensatoryScorer:
             total += self.frequency_weight * freq
         return total
 
-    def score_pool(
-        self,
-        candidate_codes: np.ndarray,
-        row_codes: np.ndarray,
-        attribute: str,
-        context_columns: Sequence[int],
-        incumbent_index: int | None = None,
-        self_weight: float = 1.0,
-    ) -> np.ndarray:
-        """Raw compensatory scores of a whole coded candidate pool.
-
-        ``context_columns`` are schema positions of the context
-        attributes, in the same order the scalar path sums them (so the
-        float accumulation matches term for term).  ``incumbent_index``
-        marks the pool entry that is the observed cell value — the only
-        one whose own-row contribution is excluded.
-        """
-        index = self.index
-        names = index.names
-        total = np.zeros(len(candidate_codes), dtype=np.float64)
-        for column in context_columns:
-            total += index.corr_for(
-                attribute,
-                candidate_codes,
-                names[column],
-                int(row_codes[column]),
-                exclude_index=incumbent_index,
-                self_weight=self_weight,
-            )
-        if self.frequency_weight and index.n_rows:
-            # counts_for (not a raw counts_array slice): the incumbent
-            # entry may carry an incrementally minted code, which counts 0.
-            freq = index.counts_for(attribute, candidate_codes) / index.n_rows
-            total += self.frequency_weight * freq
-        return total
-
 
 def log_compensatory(
     scores: Mapping[Cell, float], smoothing: float = 0.05
@@ -154,14 +119,19 @@ def log_compensatory(
     }
 
 
-def log_compensatory_pool(
-    scores: np.ndarray, smoothing: float = 0.05
+def log_compensatory_segments(
+    scores: np.ndarray, starts: np.ndarray, smoothing: float = 0.05
 ) -> np.ndarray:
-    """Vectorised :func:`log_compensatory` over one competition's pool."""
+    """Vectorised :func:`log_compensatory` over many competitions at
+    once: competition ``i``'s pool is the segment of ``scores`` from
+    ``starts[i]`` to the next start (every segment non-empty).  Each
+    element sees exactly the scalar arithmetic, so the result is
+    independent of how competitions are grouped."""
     if smoothing <= 0:
         raise ValueError(f"smoothing must be positive, got {smoothing}")
     if len(scores) == 0:
         return np.zeros(0, dtype=np.float64)
     clipped = np.maximum(scores, 0.0)
-    denom = clipped.max() + smoothing
-    return np.log((clipped + smoothing) / denom)
+    denom = np.maximum.reduceat(clipped, starts) + smoothing
+    lengths = np.diff(np.append(starts, len(scores)))
+    return np.log((clipped + smoothing) / np.repeat(denom, lengths))

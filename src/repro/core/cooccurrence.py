@@ -47,13 +47,12 @@ class PairArrays:
         "weighted",
         "first_row",
         "_csr",
+        "_csr_entries",
         "_raw_dict",
         "_weighted_dict",
         "_values_cache",
         "count_profiles",
-        "corr_profiles",
         "count_probes",
-        "corr_probes",
     )
 
     def __init__(
@@ -70,26 +69,25 @@ class PairArrays:
         self.weighted = weighted
         self.first_row = first_row
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        # Per-entry statistics aligned with the CSR candidates (raw count
+        # and no-exclusion corr of each listed pair) — what the
+        # shard-level competition kernel gathers; built by
+        # :meth:`CooccurrenceIndex.csr_entries`.
+        self._csr_entries: tuple[np.ndarray, ...] | None = None
         # Lazy dict views for single-pair probes: a dict get beats a
         # numpy scalar searchsorted by ~30×, and the scalar reference
-        # path (plus the support checks of the columnar one) probes one
-        # pair at a time.
+        # path probes one pair at a time.
         self._raw_dict: dict[int, int] | None = None
         self._weighted_dict: dict[int, float] | None = None
         self._values_cache: dict[int, list] | None = None
-        # Dense per-context profiles (keyed by context code): one vector
-        # over *all* codes of attribute a, turning every probe after
-        # densification into a single fancy-index slice.  A context is
-        # densified only once its probe tally exceeds what a *single*
-        # competition can generate (one corr probe; up to two count
-        # probes, pool strength + TF-IDF pruning) — so an id-like
-        # context probed by exactly one row keeps taking direct
-        # pool-sized probes, never a card_a-sized profile per distinct
-        # value, and the caches stay O(repeated contexts).
+        # Dense per-context count profiles (keyed by context code) for
+        # :meth:`CooccurrenceIndex.pair_counts_for`: one vector over
+        # *all* codes of attribute a, built only once a context's probe
+        # tally exceeds two — so an id-like context probed once keeps
+        # taking direct pool-sized probes and the cache stays
+        # O(repeated contexts).
         self.count_profiles: dict[int, np.ndarray] = {}
-        self.corr_profiles: dict[int, np.ndarray] = {}
         self.count_probes: dict[int, int] = {}
-        self.corr_probes: dict[int, int] = {}
 
     def raw_count(self, fused: int) -> int:
         """Raw count of one fused pair code (dict-backed probe)."""
@@ -122,8 +120,9 @@ class PairArrays:
 
     def __getstate__(self) -> tuple:
         """Pickle only the built statistics; the lazy caches (dict views,
-        CSR index, dense profiles, probe tallies) are per-process
-        accelerations that worker processes rebuild on demand."""
+        CSR index and its aligned entries, dense profiles, probe
+        tallies) are per-process accelerations that worker processes
+        rebuild on demand."""
         return (self.card_b, self.keys, self.raw, self.weighted, self.first_row)
 
     def __setstate__(self, state: tuple) -> None:
@@ -169,12 +168,47 @@ def confidence_weights(
     )
 
 
+def weighted_pair_counts(
+    inverse: np.ndarray,
+    raw: np.ndarray,
+    weights: np.ndarray,
+    row_counts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Algorithm 2's weighted count per distinct pair, in the canonical
+    form ``n_reliable − β·n_unreliable``.
+
+    ``inverse`` maps each row to its pair and ``raw`` holds the pairs'
+    raw counts; ``weights`` are the rows' :func:`confidence_weights`
+    (+1 reliable, −β otherwise) and ``row_counts`` optional row
+    multiplicities.  Counting each class as an exact integer first
+    makes the result independent of row order and of duplicate folding,
+    so the whole-table and streamed builds agree bit for bit for
+    *every* β — a running float sum of a non-dyadic −β (say 0.3) rounds
+    differently once duplicates are folded into ``row_counts · weight``.
+    For the default dyadic β both forms are exact and equal.
+    """
+    reliable = weights == 1.0
+    mult = 1 if row_counts is None else row_counts
+    n_reliable = np.bincount(
+        inverse, weights=np.where(reliable, mult, 0), minlength=len(raw)
+    )
+    penalties = -weights[~reliable]
+    if not len(penalties):
+        return n_reliable
+    beta = penalties[0]
+    if np.any(penalties != beta):
+        raise ValueError("weights must take the two values +1 and -beta")
+    return n_reliable - beta * (raw - n_reliable)
+
+
 def build_pair_arrays(
     codes_a: np.ndarray,
     card_a: int,
     codes_b: np.ndarray,
     card_b: int,
     weights: np.ndarray,
+    row_counts: np.ndarray | None = None,
+    row_firsts: np.ndarray | None = None,
 ) -> tuple[PairArrays, PairArrays]:
     """Build both directions of one attribute pair's statistics.
 
@@ -182,64 +216,29 @@ def build_pair_arrays(
     ``(a, b)`` arrays; the reverse ``(b, a)`` direction is derived by
     re-fusing the distinct pairs — no second pass.  This is the unit of
     work the sharded parallel fit (:mod:`repro.exec.fit`) dispatches per
-    attribute pair; the serial build below calls it in a loop, so both
-    paths are byte-identical by construction.
+    attribute pair; the serial build calls it in a loop, so both paths
+    are byte-identical by construction.
+
+    The rows may be the *distinct* rows of a streamed fit
+    (:mod:`repro.exec.fit_stream`): row ``i`` then stands for
+    ``row_counts[i]`` stream rows, first seen at global index
+    ``row_firsts[i]``, with one per-row confidence weight ``weights[i]``
+    (tuple confidence is a pure function of the row's values).  The
+    outputs are **byte-identical** to building over the full stream:
+    raw counts are multiplicity sums (``np.bincount``, exact below
+    2**53), weighted counts take the canonical form of
+    :func:`weighted_pair_counts`, and first rows are global stream
+    indices (``np.minimum.at`` over ``row_firsts``), preserving the
+    first-appearance orders downstream tie-breaking relies on.
     """
     fused = codes_a * card_b + codes_b
-    keys, first, inverse, raw = np.unique(
-        fused, return_index=True, return_inverse=True, return_counts=True
-    )
-    weighted = np.bincount(inverse, weights=weights, minlength=len(keys))
-    forward = PairArrays(card_b, keys, raw, weighted, first)
-    rev = (keys % card_b) * card_a + keys // card_b
-    order = np.argsort(rev)
-    reverse = PairArrays(
-        card_a, rev[order], raw[order], weighted[order], first[order]
-    )
-    return forward, reverse
-
-
-def build_pair_arrays_stream(
-    codes_a: np.ndarray,
-    card_a: int,
-    codes_b: np.ndarray,
-    card_b: int,
-    weights: np.ndarray,
-    row_counts: np.ndarray,
-    row_firsts: np.ndarray | None = None,
-) -> tuple[PairArrays, PairArrays]:
-    """:func:`build_pair_arrays` over a deduplicated stream.
-
-    The inputs are the *distinct-row* columns of a streamed fit
-    (:mod:`repro.exec.fit_stream`): row ``i`` stands for ``row_counts[i]``
-    stream rows, first seen at global index ``row_firsts[i]``, and
-    ``weights[i]`` is its per-row confidence weight (identical across the
-    duplicates — tuple confidence is a pure function of the row's
-    values).  The outputs are **byte-identical** to running
-    :func:`build_pair_arrays` over the full stream:
-
-    - raw counts are int64 multiplicity sums (``np.add.at``), the exact
-      integers ``return_counts`` would produce;
-    - weighted counts sum ``row_counts · weight`` per distinct pair —
-      every addend is an exactly-representable float64 integer multiple,
-      so the sum equals the full pass's ``bincount`` bit for bit;
-    - first rows are global stream indices (``np.minimum.at`` over
-      ``row_firsts``), preserving the first-appearance orders downstream
-      tie-breaking relies on.
-    """
-    row_counts = np.asarray(row_counts, dtype=np.int64)
-    fused = codes_a * card_b + codes_b
-    keys, local_first, inverse = np.unique(
-        fused, return_index=True, return_inverse=True
-    )
+    keys, first, inverse = np.unique(fused, return_index=True, return_inverse=True)
     inverse = np.ravel(inverse)
-    raw = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(raw, inverse, row_counts)
-    weighted = np.zeros(len(keys), dtype=np.float64)
-    np.add.at(weighted, inverse, row_counts.astype(np.float64) * weights)
-    if row_firsts is None:
-        first = local_first
-    else:
+    raw = np.bincount(inverse, weights=row_counts, minlength=len(keys)).astype(
+        np.int64, copy=False
+    )
+    weighted = weighted_pair_counts(inverse, raw, weights, row_counts)
+    if row_firsts is not None:
         first = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(first, inverse, np.asarray(row_firsts, dtype=np.int64))
     forward = PairArrays(card_b, keys, raw, weighted, first)
@@ -306,20 +305,14 @@ class CooccurrenceIndex:
         weights = confidence_weights(confidences, tau, beta, table.n_rows)
         self.row_weights = weights
 
-        if row_counts is None:
-            self._counts: dict[str, np.ndarray] = {
-                a: np.bincount(
-                    self.encoding.codes(a), minlength=self.encoding.card(a)
-                )
-                for a in self.names
-            }
-        else:
-            row_counts = np.asarray(row_counts, dtype=np.int64)
-            self._counts = {}
-            for a in self.names:
-                counts = np.zeros(self.encoding.card(a), dtype=np.int64)
-                np.add.at(counts, self.encoding.codes(a), row_counts)
-                self._counts[a] = counts
+        self._counts: dict[str, np.ndarray] = {
+            a: np.bincount(
+                self.encoding.codes(a),
+                weights=row_counts,
+                minlength=self.encoding.card(a),
+            ).astype(np.int64, copy=False)
+            for a in self.names
+        }
 
         if pair_arrays is not None:
             expected = {
@@ -342,24 +335,15 @@ class CooccurrenceIndex:
             card_a = self.encoding.card(a)
             for k in range(j + 1, m):
                 b = self.names[k]
-                if row_counts is None:
-                    built = build_pair_arrays(
-                        codes_a,
-                        card_a,
-                        self.encoding.codes(b),
-                        self.encoding.card(b),
-                        weights,
-                    )
-                else:
-                    built = build_pair_arrays_stream(
-                        codes_a,
-                        card_a,
-                        self.encoding.codes(b),
-                        self.encoding.card(b),
-                        weights,
-                        row_counts,
-                        row_firsts,
-                    )
+                built = build_pair_arrays(
+                    codes_a,
+                    card_a,
+                    self.encoding.codes(b),
+                    self.encoding.card(b),
+                    weights,
+                    row_counts,
+                    row_firsts,
+                )
                 self._pair[(a, b)], self._pair[(b, a)] = built
 
     # -- code-level queries ---------------------------------------------------------
@@ -395,19 +379,14 @@ class CooccurrenceIndex:
 
     def _corr_values(
         self,
-        stats: PairArrays,
         attr_a: str,
-        attr_b: str,
         codes_a: np.ndarray,
-        code_b: int,
+        weighted: np.ndarray,
+        n_context: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`corr` of ``(codes_a[i], code_b)`` — vector math, no
-        self-exclusion."""
-        n_context = int(self._counts[attr_b][code_b])
-        if n_context <= 0:
-            return np.zeros(len(codes_a), dtype=np.float64)
-        idx, hit = stats.lookup(codes_a * stats.card_b + code_b)
-        weighted = np.where(hit, stats.weighted[idx], 0.0)
+        """:meth:`corr` of stored pairs, elementwise and without
+        self-exclusion: ``weighted`` and ``n_context`` (≥ 1 for every
+        stored pair) are aligned with ``codes_a``."""
         # Clamping non-positive weighted counts to 0 reproduces the
         # scalar early return: their p̂ becomes 0 and the final
         # max(0, ·) lands on exactly 0.
@@ -437,29 +416,15 @@ class CooccurrenceIndex:
             stats.count_profiles[code_b] = profile
         return profile
 
-    def corr_profile(self, attr_a: str, attr_b: str, code_b: int) -> np.ndarray:
-        """Dense :meth:`corr` of every build-time code of ``attr_a``
-        given context ``code_b`` — no self-exclusion — cached per
-        context."""
-        stats = self._pair.get((attr_a, attr_b))
-        if stats is None or self.n_rows == 0 or not 0 <= code_b < stats.card_b:
-            return np.zeros(len(self._counts[attr_a]), dtype=np.float64)
-        profile = stats.corr_profiles.get(code_b)
-        if profile is None:
-            codes = np.arange(len(self._counts[attr_a]), dtype=np.int64)
-            profile = self._corr_values(stats, attr_a, attr_b, codes, code_b)
-            stats.corr_profiles[code_b] = profile
-        return profile
-
     def pair_counts_for(
         self, attr_a: str, codes_a: np.ndarray, attr_b: str, code_b: int
     ) -> np.ndarray:
         """Raw co-occurrence counts of ``(codes_a[i], code_b)`` (batched).
 
         ``codes_a`` must hold valid codes (≥ 0).  A context probed more
-        often than one competition accounts for (twice: pool strength +
-        TF-IDF pruning) gets the dense cached profile; rarer contexts
-        take direct pool-sized probes."""
+        than twice gets the dense cached profile; rarer contexts take
+        direct pool-sized probes.  (The baseline cleaners' probe; the
+        BClean kernel gathers :meth:`csr_entries` instead.)"""
         stats = self._pair.get((attr_a, attr_b))
         if stats is None or not 0 <= code_b < stats.card_b:
             return np.zeros(len(codes_a), dtype=np.int64)
@@ -514,9 +479,45 @@ class CooccurrenceIndex:
         full out-of-range guards — the foreign-table companion of
         :meth:`rowwise_pair_counts`, where codes minted by incremental
         encoding (or ``UNSEEN_CODE``) must count 0."""
-        stats = self._pair.get((attr_a, attr_b))
+        stats, valid, idx, hit = self._probe_rows(attr_a, codes_a, attr_b, codes_b)
         if stats is None:
             return np.zeros(len(codes_a), dtype=np.int64)
+        return np.where(hit, stats.raw[idx], 0)
+
+    def pair_rows(
+        self,
+        attr_a: str,
+        codes_a: np.ndarray,
+        attr_b: str,
+        codes_b: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Elementwise ``(weighted, n_context)`` of the pairs
+        ``(codes_a[i], codes_b[i])``: the weighted pair count and the
+        marginal count of ``codes_b[i]`` — both 0 where either code lies
+        outside the build-time range (the inputs of
+        :meth:`corr_excluded`)."""
+        stats, valid, idx, hit = self._probe_rows(attr_a, codes_a, attr_b, codes_b)
+        if stats is None:
+            n = len(codes_a)
+            return np.zeros(n, dtype=np.float64), np.zeros(n, dtype=np.int64)
+        counts_b = self._counts[attr_b]
+        return (
+            np.where(hit, stats.weighted[idx], 0.0),
+            np.where(valid, counts_b[np.where(valid, codes_b, 0)], 0),
+        )
+
+    def _probe_rows(
+        self,
+        attr_a: str,
+        codes_a: np.ndarray,
+        attr_b: str,
+        codes_b: np.ndarray,
+    ) -> tuple[PairArrays | None, np.ndarray, np.ndarray, np.ndarray]:
+        """One guarded probe of ``(codes_a[i], codes_b[i])``: the pair's
+        stats, the in-range mask, and the stat index / hit mask."""
+        stats = self._pair.get((attr_a, attr_b))
+        if stats is None:
+            return None, None, None, None
         card_a = len(self._counts[attr_a])
         valid = (
             (codes_a >= 0)
@@ -526,7 +527,7 @@ class CooccurrenceIndex:
         )
         fused = np.where(valid, codes_a * stats.card_b + codes_b, 0)
         idx, hit = stats.lookup(fused)
-        return np.where(hit & valid, stats.raw[idx], 0)
+        return stats, valid, idx, hit & valid
 
     def cooccurring_codes(
         self, attr_a: str, attr_b: str, code_b: int
@@ -539,58 +540,70 @@ class CooccurrenceIndex:
         starts, candidates = stats.csr()
         return candidates[starts[code_b] : starts[code_b + 1]]
 
-    def corr_for(
+    def csr_entries(
+        self, attr_a: str, attr_b: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The pair's CSR index with per-entry statistics aligned to it:
+        ``(starts, candidates, raw, corr)``, where ``raw[i]`` and
+        ``corr[i]`` are the raw count and the no-exclusion :meth:`corr`
+        of the pair ``(candidates[i], b)`` for the context code ``b``
+        whose slice holds entry ``i``.  A candidate absent from a
+        context's slice has raw count and corr exactly 0, so these
+        slices carry every nonzero term a competition sums.  Built
+        lazily per pair and per process (``None`` for an unknown pair).
+        """
+        stats = self._pair.get((attr_a, attr_b))
+        if stats is None:
+            return None
+        if stats._csr_entries is None:
+            starts, candidates = stats.csr()
+            code_b = np.repeat(
+                np.arange(stats.card_b, dtype=np.int64), np.diff(starts)
+            )
+            entry, _ = stats.lookup(candidates * stats.card_b + code_b)
+            corr = self._corr_values(
+                attr_a,
+                candidates,
+                stats.weighted[entry],
+                self._counts[attr_b][code_b],
+            )
+            stats._csr_entries = (starts, candidates, stats.raw[entry], corr)
+        return stats._csr_entries
+
+    def corr_excluded(
         self,
         attr_a: str,
         codes_a: np.ndarray,
-        attr_b: str,
-        code_b: int,
-        exclude_index: int | None = None,
-        self_weight: float = 1.0,
+        weighted: np.ndarray,
+        n_context: np.ndarray,
+        self_weights: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised :meth:`corr` over a candidate pool (codes ≥ 0).
-
-        Repeated contexts come from the cached :meth:`corr_profile`
-        (one fancy-index slice); first-time contexts are probed
-        directly at pool size.  ``exclude_index`` removes the scored
-        tuple's own contribution from that one pool entry (the
-        incumbent): its confidence weight ``self_weight`` leaves the
-        weighted count and one observation leaves both marginals.
-        """
-        stats = self._pair.get((attr_a, attr_b))
-        if stats is None or self.n_rows == 0 or not 0 <= code_b < stats.card_b:
-            return np.zeros(len(codes_a), dtype=np.float64)
-        # Codes minted after the build (incremental foreign encoding) can
-        # only appear as the appended incumbent; they were never observed,
-        # so their corr is exactly 0 — matching the value-level path where
-        # unseen values encode to UNSEEN_CODE.
-        card_a = len(self._counts[attr_a])
-        oob = None
-        query = codes_a
-        if len(codes_a) and int(codes_a.max()) >= card_a:
-            oob = codes_a >= card_a
-            query = np.where(oob, 0, codes_a)
-        profile = stats.corr_profiles.get(code_b)
-        if profile is None and stats.corr_probes.get(code_b, 0) >= 1:
-            stats.corr_probes.pop(code_b, None)
-            profile = self.corr_profile(attr_a, attr_b, code_b)
-        if profile is not None:
-            out = profile[query]
-        else:
-            stats.corr_probes[code_b] = 1
-            out = self._corr_values(stats, attr_a, attr_b, query, code_b)
-        if oob is not None:
-            out[oob] = 0.0
-        if exclude_index is not None:
-            out[exclude_index] = self.corr_codes(
-                attr_a,
-                int(codes_a[exclude_index]),
-                attr_b,
-                code_b,
-                exclude_self=True,
-                self_weight=self_weight,
-            )
-        return out
+        """:meth:`corr_codes` with ``exclude_self=True``, elementwise over
+        pairs already probed with :meth:`pair_rows` (any shape
+        broadcasting against ``codes_a`` / ``self_weights``): the corr
+        once the scored row's own contribution (confidence weight
+        ``self_weights``, one observation of each marginal) is removed.
+        Pairs probed as out of range carry ``n_context == 0`` and score
+        0.  Same arithmetic as the scalar kernel, term for term —
+        including ``** 0.5`` as ``np.power(·, 0.5)``, which can differ
+        from ``np.sqrt`` in the last bit."""
+        if self.n_rows == 0:
+            return np.zeros(np.broadcast(weighted, codes_a).shape)
+        weighted = weighted - self_weights
+        n_context = n_context - 1
+        n_value = self.counts_for(attr_a, codes_a) - 1
+        live = (n_context > 0) & (weighted > 0.0)
+        # Dead entries score 0; neutral inputs keep their maths finite.
+        weighted = np.where(live, weighted, 0.0)
+        n_context = np.where(live, n_context, 1)
+        base_rate = np.maximum(n_value, 0) / self.n_rows
+        p_hat = weighted / n_context
+        capped = np.minimum(p_hat, 1.0)
+        variance = (capped * (1.0 - capped) + 1.0 / n_context) / n_context
+        corr = np.maximum(
+            p_hat - self.LCB_Z * np.power(variance, 0.5) - base_rate, 0.0
+        )
+        return np.where(live, corr, 0.0)
 
     def corr_codes(
         self,

@@ -154,34 +154,15 @@ class DomainPruner:
                 present.add(_safe_key(k))
         return kept
 
-    def prune_codes(
-        self,
-        candidate_codes: np.ndarray,
-        row_codes: np.ndarray,
-        attribute: str,
-        context_columns: Sequence[int],
+    def tfidf_codes(
+        self, attribute: str, codes: np.ndarray, context: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`prune` over a coded candidate pool.
-
-        Same TF-IDF ranking, computed with vectorised pair-count probes;
-        the stable sort preserves the incoming pool order on ties, so
-        the surviving top-k matches the scalar path element for element.
-        """
-        index = self.index
-        context = np.zeros(len(candidate_codes), dtype=np.int64)
-        for column in context_columns:
-            pair = index.pair_counts_for(
-                attribute,
-                candidate_codes,
-                index.names[column],
-                int(row_codes[column]),
-            )
-            context += pair > 0
-        counts = index.counts_array(attribute)[candidate_codes]
+        """Vectorised :meth:`tfidf` over coded candidates, given each
+        one's context count (how many context attributes' observed
+        values it co-occurs with)."""
+        counts = self.index.counts_array(attribute)[codes]
         idf = np.log(self._n / (1 + counts))
-        tfidf = context * np.maximum(idf, 1e-3)
-        order = np.argsort(-tfidf, kind="stable")
-        return candidate_codes[order][: self.top_k]
+        return context * np.maximum(idf, 1e-3)
 
 
 def _safe_key(value: Cell) -> object:

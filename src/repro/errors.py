@@ -40,6 +40,11 @@ class CycleError(GraphError):
     """Adding an edge would create a directed cycle."""
 
 
+class ModelFormatError(ReproError):
+    """A persisted model file is truncated, is not valid JSON, or was
+    written in a format version this build does not read."""
+
+
 class CPTError(ReproError):
     """A conditional probability table is malformed or inconsistent."""
 

@@ -6,8 +6,8 @@ The subsystem turns ``BClean.clean()`` into a planned, sharded job:
   into cost-balanced :class:`~repro.exec.planner.Shard`\\ s;
 - :mod:`repro.exec.state` freezes the fitted statistics into a
   picklable, read-only :class:`~repro.exec.state.FitState` whose
-  :meth:`~repro.exec.state.FitState.run_shard` kernel batch-scores
-  competitions;
+  :meth:`~repro.exec.state.FitState.run_shard` kernel runs all of a
+  shard's competitions as segment operations;
 - :mod:`repro.exec.backends` executes shards serially, on a thread
   pool, or on a process pool (``BCleanConfig.executor``), scoped to a
   :class:`~repro.exec.session.ExecSession` that owns the pool and

@@ -56,7 +56,6 @@ import numpy as np
 from repro.core.cooccurrence import (
     PairArrays,
     build_pair_arrays,
-    build_pair_arrays_stream,
 )
 from repro.errors import CleaningError
 from repro.exec.planner import (
@@ -164,24 +163,15 @@ class FitJobState:
         if shard.column == PAIR_TASKS:
             for uid in shard.uids.tolist():
                 j, k = tasks.pair_tasks[uid]
-                if self.row_counts is None:
-                    built = build_pair_arrays(
-                        self.columns[j],
-                        self.cards[j],
-                        self.columns[k],
-                        self.cards[k],
-                        self.weights,
-                    )
-                else:
-                    built = build_pair_arrays_stream(
-                        self.columns[j],
-                        self.cards[j],
-                        self.columns[k],
-                        self.cards[k],
-                        self.weights,
-                        self.row_counts,
-                        self.row_firsts,
-                    )
+                built = build_pair_arrays(
+                    self.columns[j],
+                    self.cards[j],
+                    self.columns[k],
+                    self.cards[k],
+                    self.weights,
+                    self.row_counts,
+                    self.row_firsts,
+                )
                 payloads.append(built)
         elif shard.column == CPT_TASKS:
             for uid in shard.uids.tolist():
@@ -566,9 +556,8 @@ def sharded_pair_arrays(
     :class:`~repro.core.cooccurrence.CooccurrenceIndex` accepts, plus
     the job diagnostics.  Pass the engine's fit ``session`` to run on
     its warm pool; otherwise an ephemeral one is used.  A session over a
-    deduplicated-stream snapshot produces the weighted
-    (:func:`~repro.core.cooccurrence.build_pair_arrays_stream`) arrays —
-    byte-identical to building over the full stream.
+    deduplicated-stream snapshot produces the multiplicity-weighted
+    arrays — byte-identical to building over the full stream.
     """
     m = len(names)
     pair_tasks = [(j, k) for j in range(m) for k in range(j + 1, m)]

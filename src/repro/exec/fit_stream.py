@@ -11,7 +11,7 @@ fit folds each chunk into a :class:`SuffStats` accumulator holding only
 the stream's **distinct coded rows** with int64 multiplicities and
 global first-appearance indices, and the downstream kernels
 (:func:`~repro.stats.infotheory.joint_code_counts`,
-:func:`~repro.core.cooccurrence.build_pair_arrays_stream`) accept
+:func:`~repro.core.cooccurrence.build_pair_arrays`) accept
 ``row_counts`` / ``row_firsts`` to weight them back up exactly.
 
 Three invariants make the equivalence *bit*-level, not just
@@ -26,13 +26,13 @@ statistical:
   the stream* — re-encoding the struct table therefore reproduces the
   full stream's vocabularies code for code (NULL = 0, then
   first-appearance order).
-- **Integer-exact weighting.**  All raw counts are int64 multiplicity
-  sums (``np.add.at``) — the same integers a whole-stream
-  ``return_counts`` pass yields; confidence-weighted sums add
-  ``row_counts · weight`` per signature, every addend an
-  exactly-representable float64, so sums match the full pass bit for
-  bit (tuple confidence is a pure function of the row's values, so all
-  duplicates of a signature share one weight).
+- **Integer-exact weighting.**  All raw counts are multiplicity sums
+  (``np.bincount``, exact below 2**53) — the same integers a
+  whole-stream ``return_counts`` pass yields; confidence-weighted pair
+  counts take the canonical form ``n_reliable − β·n_unreliable`` from
+  those integer class counts in both builds, so they match the full
+  pass bit for bit for every β (tuple confidence is a pure function of
+  the row's values, so all duplicates of a signature share one weight).
 - **Order identity.**  ``row_firsts`` carries global stream indices;
   every downstream sort-by-first-appearance (CPT entry walks, CSR
   tie-breaking, candidate orders) sees the exact indices the full pass
@@ -392,9 +392,9 @@ def weighted_marginal_counts(
     """Per-code marginal counts of one struct column, multiplicities
     applied — the int64 values ``np.bincount`` would yield on the full
     stream."""
-    counts = np.zeros(card, dtype=np.int64)
-    np.add.at(counts, codes, np.asarray(row_counts, dtype=np.int64))
-    return counts
+    return np.bincount(codes, weights=row_counts, minlength=card).astype(
+        np.int64
+    )
 
 
 def estimate_stream_fit_cost(

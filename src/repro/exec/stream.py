@@ -645,7 +645,7 @@ class StreamDriver:
         return self._session
 
     def _close_session(self) -> None:
-        """Emit-end: fold the session's pool/ship counters into the
+        """End of stream: fold the session's pool/ship counters into the
         driver's diagnostics, then join workers and release segments —
         or, for an external session, just drop the stream's reference
         (the resident engine owns the lifetime; ``ExecSession.close``
@@ -658,6 +658,7 @@ class StreamDriver:
             self._session.release()
         else:
             self._session.close()
+        self._session = None
 
     def dispatch_chunk(self, planned: PlannedChunk) -> list:
         """The execute stage proper: pack the chunk view and run the
@@ -776,7 +777,8 @@ class StreamDriver:
         are processed strictly one at a time, so peak memory is one
         block plus the frozen fit statistics.  The execution session —
         worker pool, shipped snapshot — spans all chunks and is closed
-        (workers joined, segments released) at emit-end.
+        (workers joined, segments released) by the pull that observes
+        end-of-stream, or on the way out of a failed stream.
 
         Each stage of each chunk runs under its own trace span (a no-op
         with tracing disabled); the plan span carries the chunk's cache
@@ -791,9 +793,14 @@ class StreamDriver:
         try:
             while True:
                 # ingest is the pull itself: for CSV streams this span
-                # is the disk read + parse of the next block
+                # is the disk read + parse of the next block.  The pull
+                # that observes end-of-stream also closes the session,
+                # so its teardown (joining spawned workers takes tenths
+                # of a second) is accounted to a stage, not lost.
                 with tracer.span("ingest", cat="stream"):
                     chunk = next(it, None)
+                    if chunk is None:
+                        self._close_session()
                 if chunk is None:
                     break
                 if chunk.n_rows == 0:

@@ -41,6 +41,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Sequence
 
@@ -51,6 +53,7 @@ from repro.bayesnet.serialize import (
     bn_from_dict,
     bn_to_dict,
     encoding_from_dict,
+    read_model_payload,
 )
 from repro.constraints.registry import UCRegistry
 from repro.core.config import BCleanConfig
@@ -77,6 +80,25 @@ def _csv_header(source, delimiter: str = ",") -> list[str]:
             return next(reader)
         except StopIteration:
             raise CleaningError(f"empty CSV: {source}") from None
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same
+    directory, fsynced and then ``os.replace``d over the target: a
+    reader sees the old file or the new one, never half of one, and a
+    failed save leaves the previous model intact (and no temp file)."""
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def schema_fingerprint(names: Sequence[str]) -> str:
@@ -207,7 +229,7 @@ class ModelRegistry:
                 "row_counts": stats.row_counts.tolist(),
                 "row_firsts": stats.row_firsts.tolist(),
             }
-        path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        _write_atomic(path, json.dumps(payload) + "\n")
         return path
 
     def load(
@@ -229,7 +251,7 @@ class ModelRegistry:
                 f"no registry model for schema {list(names)} "
                 f"(fingerprint {schema_fingerprint(names)}) under {self.root}"
             )
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_model_payload(path)
         schema = schema_from_dict(payload["schema"])
         if config is None:
             config = config_from_dict(payload["config"])

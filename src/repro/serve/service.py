@@ -176,6 +176,11 @@ class BCleanService:
         else:
             finished = request.done.wait(timeout)
         if not finished:
+            # Withdraw the request if no tick has taken it yet, so a
+            # caller that gave up never has its rows cleaned later.
+            with self._cond:
+                if any(r is request for r in self._pending):
+                    self._pending.remove(request)
             raise CleaningError(
                 f"request {request.request_id} timed out after {timeout}s"
             )

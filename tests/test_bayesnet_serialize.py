@@ -293,3 +293,32 @@ class TestEncodingRider:
 
         with pytest.raises(GraphError, match="malformed encoding"):
             encoding_from_dict({"names": ["a"]})
+
+
+class TestFormatVersionChecks:
+    def test_bundle_rejects_unknown_or_missing_version(self, tmp_path):
+        from repro.bayesnet.serialize import load_bn_bundle
+        from repro.errors import ModelFormatError
+
+        path = tmp_path / "model.json"
+        save_bn(fitted_bn(), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 2
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="format version 2"):
+            load_bn_bundle(path)
+        del payload["version"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="no format version"):
+            load_bn(path)
+
+    def test_truncated_file_fails_by_name(self, tmp_path):
+        from repro.bayesnet.serialize import load_bn_bundle
+        from repro.errors import ModelFormatError
+
+        path = tmp_path / "model.json"
+        save_bn(fitted_bn(), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 3], encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_bn_bundle(path)

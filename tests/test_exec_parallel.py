@@ -77,6 +77,7 @@ def _run(instance, mode=InferenceMode.PARTITIONED, **knobs):
     return engine.clean()
 
 
+@pytest.mark.fast
 @pytest.mark.parametrize("executor", BACKENDS)
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
 def test_backend_shard_matrix_byte_identical(hospital, reference, executor, shard_size):
@@ -125,6 +126,7 @@ def foreign_pair(hospital):
     return foreign
 
 
+@pytest.mark.fast
 @pytest.mark.parametrize("executor", BACKENDS)
 def test_foreign_table_backends_match_scalar(hospital, foreign_pair, executor):
     engine = BClean(

@@ -624,3 +624,46 @@ def test_traced_streaming_fit_smoke(tmp_path):
         names = [e.get("name") for e in payload["traceEvents"]]
         assert "fit.stream" in names
         assert names.count("fit.stream.chunk") == -(-dirty.n_rows // chunk_rows)
+
+
+def test_weighted_pair_counts_identical_for_non_dyadic_beta():
+    """β = 0.3 is not dyadic: a row-by-row float sum of −0.3 weights
+    rounds differently from the streamed build's folded
+    ``row_counts · weight`` sums.  Both builds therefore count each
+    class as an integer and take ``n_reliable − β·n_unreliable``, which
+    makes them bit-identical for every β."""
+    from repro.core.cooccurrence import build_pair_arrays, confidence_weights
+
+    rng = np.random.default_rng(7)
+    n = 5000
+    rows = np.stack(
+        [rng.integers(0, 4, n), rng.integers(0, 3, n), rng.integers(0, 50, n)],
+        axis=1,
+    )
+    # confidence is a pure function of the row, as in the engine
+    weights = confidence_weights(
+        np.where(rows[:, 2] % 3, 0.9, 0.1), tau=0.5, beta=0.3, n_rows=n
+    )
+    whole = build_pair_arrays(rows[:, 0], 4, rows[:, 1], 3, weights)
+
+    distinct, first, counts = np.unique(
+        rows, axis=0, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    distinct, first, counts = distinct[order], first[order], counts[order]
+    streamed = build_pair_arrays(
+        distinct[:, 0], 4, distinct[:, 1], 3, weights[first], counts, first
+    )
+    for w, s in zip(whole, streamed):
+        assert np.array_equal(w.keys, s.keys)
+        assert np.array_equal(w.raw, s.raw)
+        assert np.array_equal(w.first_row, s.first_row)
+        assert np.array_equal(w.weighted, s.weighted)
+
+    # The input is sensitive: the two running-sum forms disagree on it.
+    fused = rows[:, 0] * 3 + rows[:, 1]
+    _, pair_of_row = np.unique(fused, return_inverse=True)
+    row_by_row = np.bincount(pair_of_row, weights=weights)
+    folded = np.zeros(len(row_by_row))
+    np.add.at(folded, pair_of_row[first], counts * weights[first])
+    assert not np.array_equal(row_by_row, folded)

@@ -15,6 +15,8 @@ demultiplexing), input forms, and the service/session lifecycle.
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +28,7 @@ from repro.core.engine import BClean
 from repro.core.repairs import Repair
 from repro.data.benchmark import load_benchmark
 from repro.dataset.table import Table
-from repro.errors import CleaningError
+from repro.errors import CleaningError, ModelFormatError
 from repro.serve import (
     BCleanService,
     CleanRequest,
@@ -221,6 +223,61 @@ def test_registry_load_missing_model_raises(tmp_path):
         registry.load(["a", "b"])
 
 
+@pytest.fixture
+def saved_registry(hospital, reference_engine, tmp_path):
+    registry = ModelRegistry(tmp_path / "models")
+    path = registry.save(reference_engine)
+    return registry, path
+
+
+def test_registry_failed_save_keeps_previous_model(
+    hospital, reference_engine, saved_registry, monkeypatch
+):
+    """save() writes a temp file and os.replace()s it over model.json:
+    a save that dies at the swap leaves the previous model loadable and
+    no temp file behind."""
+    registry, path = saved_registry
+    before = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        registry.save(reference_engine)
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+    names = hospital.dirty.schema.names
+    reloaded = registry.load(names, constraints=hospital.constraints)
+    assert reloaded.table == reference_engine.table
+
+
+def test_registry_rejects_unknown_format_version(hospital, saved_registry):
+    registry, path = saved_registry
+    names = hospital.dirty.schema.names
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["version"] = 2
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="format version 2"):
+        registry.load(names, constraints=hospital.constraints)
+    del payload["version"]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="no format version"):
+        registry.load(names, constraints=hospital.constraints)
+
+
+def test_registry_rejects_truncated_model(hospital, saved_registry):
+    registry, path = saved_registry
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="truncated"):
+        registry.load(
+            hospital.dirty.schema.names, constraints=hospital.constraints
+        )
+
+
 # -- micro-batching plumbing units ---------------------------------------------
 
 
@@ -351,3 +408,33 @@ def test_linger_coalesces_concurrent_submits(hospital, request_tables):
     for table, result in zip(request_tables, served):
         assert result.cleaned.n_rows == table.n_rows
         assert result.diagnostics["serve"]["batch_requests"] >= 1
+
+
+def test_timed_out_submit_never_reaches_a_batch(hospital, request_tables):
+    """A submit() that times out withdraws its request: held behind a
+    busy batcher, it must never be cleaned in a later tick."""
+    engine = BClean(BCleanConfig.pip(), hospital.constraints)
+    engine.fit(hospital.dirty)
+    service = BCleanService(engine, linger_seconds=0.0)
+    batched: list[list[int]] = []
+    entered, release = threading.Event(), threading.Event()
+    run_batch = service._run_batch
+
+    def held_run_batch(requests):
+        batched.append([r.request_id for r in requests])
+        entered.set()
+        assert release.wait(30)
+        run_batch(requests)
+
+    service._run_batch = held_run_batch
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        first = pool.submit(service.submit, request_tables[0])
+        assert entered.wait(30)  # the batcher now holds request 0
+        with pytest.raises(CleaningError, match="timed out"):
+            service.submit(request_tables[1], timeout=0.05)
+        assert not service._pending
+        release.set()
+        first.result(timeout=30)
+    service.submit(request_tables[2])
+    service.close()
+    assert batched == [[0], [2]]
