@@ -1,6 +1,5 @@
 """Discrete Bayesian-network substrate: DAGs, CPTs, inference, learning."""
 
-from repro.bayesnet.beliefprop import BeliefPropagation, BPResult
 from repro.bayesnet.cpt import CPT, NULL_KEY, CodedCPT, cell_key
 from repro.bayesnet.dag import DAG
 from repro.bayesnet.inference import (
@@ -13,8 +12,6 @@ from repro.bayesnet.model import ColumnarNetScorer, DiscreteBayesNet
 from repro.bayesnet.serialize import load_bn, load_dag, save_bn, save_dag
 
 __all__ = [
-    "BPResult",
-    "BeliefPropagation",
     "CPT",
     "CodedCPT",
     "ColumnarNetScorer",

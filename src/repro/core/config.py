@@ -180,19 +180,20 @@ class BCleanConfig:
         scores dispatch as fit jobs (see :mod:`repro.exec.fit`), with
         bit-identical DAGs and scores on every backend.
     fit_chunk_rows:
-        Row-block size of the *streaming* fit
-        (:mod:`repro.exec.fit_stream`).  ``None`` (default) fits from
-        the whole table in one pass; a positive value folds the table
-        (or the CSV of :meth:`~repro.core.engine.BClean.fit_csv`) into
-        mergeable sufficient statistics one row block at a time —
-        DAG, CPTs, and downstream repairs byte-identical to the
-        whole-table fit at every block size.
+        Row-block size in which ``fit(table)`` folds the table into
+        the mergeable sufficient statistics of
+        :mod:`repro.exec.fit_stream`.  ``None`` (default) folds it as
+        one block; a positive value folds it (or the CSV of
+        :meth:`~repro.core.engine.BClean.fit_csv`) one row block at a
+        time — DAG, CPTs, and downstream repairs byte-identical to the
+        one-block fit at every block size.
     fit_reservoir_rows:
-        Cap of the row-level reservoir sample a streamed ``fit_csv``
-        keeps for the structure learner's row-order needs (FDX sorts
-        raw tuples); ``0`` disables it.  Streams no longer than the cap
-        are reproduced exactly; ``fit(table, chunk_rows=...)`` always
-        profiles the real table and ignores this knob.
+        Cap of the row-level reservoir sample the sufficient
+        statistics keep for the structure learner's row-order needs
+        (FDX sorts raw tuples); ``0`` disables it.  Streams no longer
+        than the cap are reproduced exactly.  ``fit(table)`` profiles
+        the real table itself; its reservoir serves a later
+        ``fit_update`` + ``refresh_structure``.
     smoothing_alpha:
         Laplace pseudo-count of the CPTs.
     fdx:

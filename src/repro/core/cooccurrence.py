@@ -168,36 +168,49 @@ def confidence_weights(
     )
 
 
+def reliability_classes(
+    weights: np.ndarray, row_counts: np.ndarray | None = None
+) -> tuple[np.ndarray, float | None]:
+    """What :func:`weighted_pair_counts` needs of a whole table, computed
+    once per table rather than once per attribute pair:
+    ``(reliable_mult, beta)`` — each row's multiplicity when it is
+    reliable (weight +1) and 0 otherwise, and the penalty β of the
+    unreliable rows (``None`` when every row is reliable)."""
+    reliable = weights == 1.0
+    mult = 1 if row_counts is None else row_counts
+    reliable_mult = np.where(reliable, mult, 0)
+    penalties = -weights[~reliable]
+    if not len(penalties):
+        return reliable_mult, None
+    beta = penalties[0]
+    if np.any(penalties != beta):
+        raise ValueError("weights must take the two values +1 and -beta")
+    return reliable_mult, beta
+
+
 def weighted_pair_counts(
     inverse: np.ndarray,
     raw: np.ndarray,
-    weights: np.ndarray,
-    row_counts: np.ndarray | None = None,
+    classes: tuple[np.ndarray, float | None],
 ) -> np.ndarray:
     """Algorithm 2's weighted count per distinct pair, in the canonical
     form ``n_reliable − β·n_unreliable``.
 
     ``inverse`` maps each row to its pair and ``raw`` holds the pairs'
-    raw counts; ``weights`` are the rows' :func:`confidence_weights`
-    (+1 reliable, −β otherwise) and ``row_counts`` optional row
-    multiplicities.  Counting each class as an exact integer first
-    makes the result independent of row order and of duplicate folding,
-    so the whole-table and streamed builds agree bit for bit for
-    *every* β — a running float sum of a non-dyadic −β (say 0.3) rounds
-    differently once duplicates are folded into ``row_counts · weight``.
-    For the default dyadic β both forms are exact and equal.
+    raw counts; ``classes`` is the table's :func:`reliability_classes`
+    (from the rows' :func:`confidence_weights` — +1 reliable, −β
+    otherwise — and optional row multiplicities).  Counting each class
+    as an exact integer first makes the result independent of row order
+    and of duplicate folding, so the whole-table and streamed builds
+    agree bit for bit for *every* β — a running float sum of a
+    non-dyadic −β (say 0.3) rounds differently once duplicates are
+    folded into ``row_counts · weight``.  For the default dyadic β both
+    forms are exact and equal.
     """
-    reliable = weights == 1.0
-    mult = 1 if row_counts is None else row_counts
-    n_reliable = np.bincount(
-        inverse, weights=np.where(reliable, mult, 0), minlength=len(raw)
-    )
-    penalties = -weights[~reliable]
-    if not len(penalties):
+    reliable_mult, beta = classes
+    n_reliable = np.bincount(inverse, weights=reliable_mult, minlength=len(raw))
+    if beta is None:
         return n_reliable
-    beta = penalties[0]
-    if np.any(penalties != beta):
-        raise ValueError("weights must take the two values +1 and -beta")
     return n_reliable - beta * (raw - n_reliable)
 
 
@@ -209,6 +222,7 @@ def build_pair_arrays(
     weights: np.ndarray,
     row_counts: np.ndarray | None = None,
     row_firsts: np.ndarray | None = None,
+    classes: tuple[np.ndarray, float | None] | None = None,
 ) -> tuple[PairArrays, PairArrays]:
     """Build both directions of one attribute pair's statistics.
 
@@ -230,14 +244,20 @@ def build_pair_arrays(
     :func:`weighted_pair_counts`, and first rows are global stream
     indices (``np.minimum.at`` over ``row_firsts``), preserving the
     first-appearance orders downstream tie-breaking relies on.
+
+    ``classes`` passes the table's precomputed
+    :func:`reliability_classes` of ``weights`` and ``row_counts`` (the
+    per-table loops compute them once for every pair).
     """
+    if classes is None:
+        classes = reliability_classes(weights, row_counts)
     fused = codes_a * card_b + codes_b
     keys, first, inverse = np.unique(fused, return_index=True, return_inverse=True)
     inverse = np.ravel(inverse)
     raw = np.bincount(inverse, weights=row_counts, minlength=len(keys)).astype(
         np.int64, copy=False
     )
-    weighted = weighted_pair_counts(inverse, raw, weights, row_counts)
+    weighted = weighted_pair_counts(inverse, raw, classes)
     if row_firsts is not None:
         first = np.full(len(keys), np.iinfo(np.int64).max, dtype=np.int64)
         np.minimum.at(first, inverse, np.asarray(row_firsts, dtype=np.int64))
@@ -329,6 +349,7 @@ class CooccurrenceIndex:
             return
 
         self._pair = {}
+        classes = reliability_classes(weights, row_counts)
         for j in range(m):
             a = self.names[j]
             codes_a = self.encoding.codes(a)
@@ -343,6 +364,7 @@ class CooccurrenceIndex:
                     weights,
                     row_counts,
                     row_firsts,
+                    classes,
                 )
                 self._pair[(a, b)], self._pair[(b, a)] = built
 

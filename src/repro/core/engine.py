@@ -39,10 +39,12 @@ Two cleaning paths produce identical repair decisions:
   (merged-node compositions, a foreign table with a different schema,
   or a fitted table mutated since ``fit()``).
 
-``fit()`` follows the same design: on the columnar path the
-co-occurrence build, structure-learner scores, and CPT counting all run
-from the shared coded columns — optionally sharded over the
-``BCleanConfig.fit_executor`` worker backends — and produce statistics
+``fit()`` follows the same design: on the columnar path every fit runs
+through the mergeable sufficient statistics of
+:mod:`repro.exec.fit_stream` (the table's distinct coded rows with
+multiplicities), and the co-occurrence build, structure-learner scores,
+and CPT counting all run from them — optionally sharded over the
+``BCleanConfig.fit_executor`` worker backends — producing statistics
 byte-identical to the scalar dict-walking fit, which remains the oracle
 (see :meth:`BClean.fit`).
 
@@ -130,18 +132,16 @@ class BClean:
         self._fit_seconds = 0.0
         self._fit_diag: dict = {}
         self._fit_session: ExecSession | None = None
-        # Streaming-fit state (see fit_csv / fit_stats / fit_update):
-        # the mergeable sufficient statistics the model was fitted
-        # from, whether the engine never saw the raw table (csv mode),
-        # and whether fit_update() has folded in rows the structure
-        # has not been re-scored against yet.
+        # Sufficient-statistics state (see fit_stats / fit_update): the
+        # mergeable statistics every columnar fit learns from (None
+        # after the scalar oracle fit; set_network() refits CPTs from
+        # them too), whether the engine holds only their distinct-row
+        # table (csv mode, or after fit_update), and whether
+        # fit_update() has folded in rows the structure has not been
+        # re-scored against yet.
         self._suffstats: SuffStats | None = None
         self._stream_fitted = False
         self._structure_stale = False
-        # What set_network() refits CPTs from: a (table, encoding,
-        # row_counts, row_firsts, n_rows) tuple on the coded path,
-        # None when only the scalar walk applies.
-        self._refit: tuple | None = None
         # The engine-held resident execution session (see open_session):
         # one warm pool + one shipped snapshot + one competition memo
         # shared by every clean until close_session() or a refit.
@@ -163,25 +163,24 @@ class BClean:
     ) -> "BClean":
         """Learn the BN and all statistics from the observed dataset.
 
-        With ``use_columnar`` and the default singleton composition the
-        whole fit pipeline runs on the shared
-        :class:`~repro.dataset.encoding.TableEncoding`: the
-        co-occurrence index builds from the coded columns (optionally
-        sharded over the ``fit_executor`` worker backends), the
-        structure learners score from coded family counts, and the CPTs
-        are estimated by :meth:`DiscreteBayesNet.fit_columnar` —
-        single-parent families re-sliced from the already-built pair
-        arrays, the rest counted with fused-code ``numpy`` passes
-        (sharded too under a parallel ``fit_executor``).  The scalar
-        dict-walking fit is retained as the oracle
-        (``use_columnar=False`` or merged-node compositions): CPTs are
+        With ``use_columnar`` and the singleton composition there is one
+        fit path: ``table`` is folded into the mergeable sufficient
+        statistics of :mod:`repro.exec.fit_stream` — its distinct rows
+        with multiplicities, in one block or in blocks of
+        ``chunk_rows`` — and :meth:`fit_stats` learns the co-occurrence
+        index, the structure, and the CPTs from those weighted counts
+        (optionally sharded over the ``fit_executor`` worker backends;
+        ``"auto"`` resolves from the distinct-row count).  The engine
+        keeps ``table`` itself as the fitted table.  The scalar
+        dict-walking fit is retained as the oracle (``use_columnar=False``
+        or merged-node compositions; always serial): CPTs are
         byte-identical, and so are the BIC/K2/BDeu structure scores
-        (hence hillclimb/chowliu/pc DAGs).  The one tolerated
-        divergence is MMHC's vectorised G², whose statistic matches the
-        reference walk to ~1e-12 — a p-value landing within an ulp of
-        ``alpha`` could in principle flip a skeleton edge, so the
-        equivalence suite pins DAG identity empirically rather than by
-        construction there.
+        (hence hillclimb/chowliu/pc DAGs).  The one tolerated divergence
+        is MMHC's vectorised G², whose statistic matches the reference
+        walk to ~1e-12 — a p-value landing within an ulp of ``alpha``
+        could in principle flip a skeleton edge, so the equivalence
+        suite pins DAG identity empirically rather than by construction
+        there.
 
         Parameters
         ----------
@@ -199,48 +198,13 @@ class BClean:
             reloaded model reproduces the in-memory one's repairs
             byte-identically).  Must describe ``table`` exactly.
         chunk_rows:
-            Consume ``table`` in row blocks of this size through the
-            mergeable sufficient statistics of
-            :mod:`repro.exec.fit_stream` instead of whole-table passes
-            (defaults to ``config.fit_chunk_rows``).  DAG, CPTs, and
-            downstream repairs are byte-identical to the whole-table
-            fit at every chunk size; :meth:`fit_csv` is the
-            out-of-core variant where the table itself never
-            materialises.
+            Fold ``table`` in row blocks of this size (defaults to
+            ``config.fit_chunk_rows``, else one block).  DAG, CPTs, and
+            downstream repairs are byte-identical at every chunk size;
+            :meth:`fit_csv` is the out-of-core variant where the table
+            itself never materialises.
         """
         chunk = chunk_rows if chunk_rows is not None else self.config.fit_chunk_rows
-        if chunk is not None:
-            if composition is not None and any(
-                composition.members(n) != (n,) for n in composition.nodes
-            ):
-                raise CleaningError(
-                    "streaming fit requires the singleton composition"
-                )
-            if not self.config.use_columnar:
-                raise CleaningError(
-                    "streaming fit requires the columnar path (use_columnar)"
-                )
-            tracer = self._ensure_fit_tracer()
-            with tracer.span(
-                "fit.stream", cat="fit", chunk_rows=int(chunk), source="table"
-            ) as span:
-                stats = suffstats_from_table(
-                    table,
-                    int(chunk),
-                    reservoir_rows=self.config.fit_reservoir_rows,
-                    tracer=tracer,
-                )
-                span.add(
-                    rows=stats.n_rows,
-                    distinct=stats.n_distinct,
-                    chunks=stats.n_chunks,
-                )
-            return self.fit_stats(
-                stats, dag=dag, full_table=table, encoding=encoding
-            )
-        # A refit invalidates every statistic a resident session's
-        # snapshot was built from — close it before anything changes.
-        self.close_session()
         if encoding is not None and (
             encoding.n_rows != table.n_rows
             or list(encoding.names) != list(table.schema.names)
@@ -250,6 +214,18 @@ class BClean:
                 f"({encoding.n_rows}×{len(encoding.names)} vs "
                 f"{table.n_rows}×{len(table.schema.names)})"
             )
+        scalar = not self.config.use_columnar or (
+            composition is not None
+            and any(composition.members(n) != (n,) for n in composition.nodes)
+        )
+        if scalar and chunk is not None:
+            raise CleaningError(
+                "streaming fit requires the columnar path (use_columnar "
+                "with the singleton composition)"
+            )
+        # A refit invalidates every statistic a resident session's
+        # snapshot was built from — close it before anything changes.
+        self.close_session()
         if self.config.trace is not None or self.config.profile:
             # One tracer spans fit + every later clean of this engine,
             # so a written trace shows the whole lifecycle; clean()
@@ -259,121 +235,90 @@ class BClean:
         with Stopwatch(tracer, "fit_seconds") as timer, tracer.span(
             "fit", cat="fit"
         ):
-            self.table = table
-            self.composition = composition or AttributeComposition(
-                table.schema.names
-            )
-            node_table = self.composition.node_table(table)
-            self._node_table = node_table
-
-            use_ucs = self.config.use_ucs and self.constraints.n_constraints > 0
-            self.confidences = (
-                table_confidences(table, self.constraints, self.config.lam)
-                if use_ucs
-                else None
-            )
-            self._encoding = encoding if encoding is not None else table.encode()
-            columnar_fit = (
-                self.config.use_columnar and self._singleton_composition()
-            )
-            fit_executor = (
-                self.config.fit_executor if columnar_fit else "serial"
-            )
-            n_jobs = self.config.n_jobs or os.cpu_count() or 1
-            self._fit_diag: dict = {}
-            self._suffstats = None
-            self._stream_fitted = False
-            self._structure_stale = False
-            self._refit = (
-                (node_table, self._encoding, None, None, None)
-                if columnar_fit
-                else None
-            )
-            # One execution session spans the whole parallel fit: the
-            # pair job and the CPT job run on the same warm pool, and
-            # the coded columns are shipped to the workers exactly once.
-            self._fit_session = None
-            if fit_executor != "serial":
-                weights = confidence_weights(
-                    self.confidences,
-                    self.config.tau,
-                    self.config.beta,
-                    table.n_rows,
-                )
-                self._fit_session = ExecSession(
-                    build_fit_state(
-                        self._encoding, table.schema.names, weights
+            if scalar:
+                self._fit_scalar(table, dag, composition, encoding)
+            elif chunk is None:
+                self._fit_from_stats(
+                    suffstats_from_table(
+                        table,
+                        max(1, table.n_rows),
+                        reservoir_rows=self.config.fit_reservoir_rows,
                     ),
-                    n_jobs,
-                    persistent=self.config.persistent_pool,
-                    tracer=tracer,
+                    dag,
+                    table,
+                    encoding,
                 )
-
-            try:
-                with tracer.span("fit.cooccurrence", cat="fit"):
-                    self.cooc = self._build_cooccurrence(
-                        table, fit_executor, n_jobs
-                    )
-                # On the columnar path the composition is singleton, so the
-                # node table *is* the fitted table (shared column lists);
-                # learning from ``table`` itself lets every
-                # ``encoding.matches`` check hit the O(1) identity fast path
-                # instead of re-interning all cells.
+            else:
                 with tracer.span(
-                    "fit.structure", cat="fit", learner=self.config.structure
-                ):
-                    self.dag = (
-                        dag
-                        if dag is not None
-                        else self._learn_structure(
-                            table if columnar_fit else node_table,
-                            self._encoding if columnar_fit else None,
-                            fit_executor=fit_executor,
-                            n_jobs=n_jobs,
-                        )
+                    "fit.stream", cat="fit", chunk_rows=int(chunk), source="table"
+                ) as span:
+                    stats = suffstats_from_table(
+                        table,
+                        int(chunk),
+                        reservoir_rows=self.config.fit_reservoir_rows,
+                        tracer=tracer,
                     )
-                unknown = set(self.dag.nodes) ^ set(node_table.schema.names)
-                if unknown:
-                    raise CleaningError(
-                        f"DAG nodes do not match composition nodes: {sorted(unknown)}"
+                    span.add(
+                        rows=stats.n_rows,
+                        distinct=stats.n_distinct,
+                        chunks=stats.n_chunks,
                     )
-                with tracer.span("fit.cpts", cat="fit"):
-                    self.bn = self._fit_network(
-                        node_table, columnar_fit, fit_executor, n_jobs
-                    )
-            finally:
-                if self._fit_session is not None:
-                    self._fit_diag["pools_created"] = (
-                        self._fit_session.pools_created
-                    )
-                    self._fit_diag["snapshot_ships"] = (
-                        self._fit_session.snapshot_ships
-                    )
-                    self._fit_session.close()
-                    self._fit_session = None
-
-            self.comp = CompensatoryScorer(
-                self.cooc, frequency_weight=self.config.frequency_weight
-            )
-            self.domains = DomainIndex(table)
-            self.subnets = partition(self.dag)
-            self.pruner = DomainPruner(
-                self.cooc, top_k=self.config.domain_prune_top_k
-            )
-            self._uc_cache: dict[tuple[str, object], bool] = {}
-            self._cell_cache: dict[tuple, tuple[Cell, float, float]] = {}
-            self._columnar: ColumnarNetScorer | None = None
-            self._domain_code_cache: dict[str, np.ndarray] = {}
-            self._uc_mask_cache: dict[str, np.ndarray] = {}
-            self._exec_diag: dict = {}
+                self._fit_from_stats(stats, dag, table, encoding)
         self._fit_seconds = timer.seconds
         return self
 
+    def _fit_scalar(
+        self,
+        table: Table,
+        dag: DAG | None,
+        composition: AttributeComposition | None,
+        encoding: TableEncoding | None,
+    ) -> None:
+        """The oracle fit: the dict-walking co-occurrence build,
+        structure learners, and CPT estimation, serial over
+        ``table``."""
+        tracer = self._obs
+        self.table = table
+        self.composition = composition or AttributeComposition(
+            table.schema.names
+        )
+        node_table = self.composition.node_table(table)
+        self._node_table = node_table
+        self._encoding = encoding if encoding is not None else table.encode()
+        self._fit_diag = {}
+        self._suffstats = None
+        self._stream_fitted = False
+        self._structure_stale = False
+        use_ucs = self.config.use_ucs and self.constraints.n_constraints > 0
+        self.confidences = (
+            table_confidences(table, self.constraints, self.config.lam)
+            if use_ucs
+            else None
+        )
+        with tracer.span("fit.cooccurrence", cat="fit"):
+            self.cooc = CooccurrenceIndex(
+                table,
+                self.confidences,
+                tau=self.config.tau,
+                beta=self.config.beta,
+                encoding=self._encoding,
+            )
+        with tracer.span(
+            "fit.structure", cat="fit", learner=self.config.structure
+        ):
+            self.dag = dag if dag is not None else self._learn_structure(node_table)
+        self._check_dag_nodes(node_table.schema.names)
+        with tracer.span("fit.cpts", cat="fit"):
+            self.bn = DiscreteBayesNet.fit(
+                node_table, self.dag, alpha=self.config.smoothing_alpha
+            )
+        self._reset_fitted_state(DomainIndex(table))
+
     def _ensure_fit_tracer(self):
-        """The tracer streaming fits report to: a fresh one when the
-        config asks for tracing and none is live yet, the engine's
-        current tracer otherwise (``fit_update`` spans then land in the
-        same trace as the original fit)."""
+        """The tracer :meth:`fit_csv` and :meth:`fit_stats` report to: a
+        fresh one when the config asks for tracing and none is live yet,
+        the engine's current tracer otherwise (``fit_update`` spans then
+        land in the same trace as the original fit)."""
         if (
             self.config.trace is not None or self.config.profile
         ) and not self._obs.enabled:
@@ -405,7 +350,7 @@ class BClean:
         table (weighted by multiplicity); ``clean()`` of that table
         cleans each distinct row once.  Foreign tables (including
         :meth:`clean_csv` over the original file) clean exactly as
-        after a whole-table fit.
+        after an in-memory fit.
         """
         chunk = (
             chunk_rows
@@ -442,261 +387,263 @@ class BClean:
         full_table: Table | None = None,
         encoding: TableEncoding | None = None,
     ) -> "BClean":
-        """Fit the model from accumulated streaming sufficient statistics.
+        """Fit the model from accumulated sufficient statistics.
 
-        The shared core behind ``fit(chunk_rows=...)`` (which passes the
-        resident ``full_table`` so the engine keeps cleaning the
-        original rows), :meth:`fit_csv` (no full table — the engine
-        adopts the distinct-row table), :meth:`fit_update`, and the
-        model registry's streamed reload.  Every statistic — pair
+        The one columnar fit: :meth:`fit` (which passes the resident
+        ``full_table`` the statistics were folded from, so the engine
+        keeps cleaning the original rows), :meth:`fit_csv` (no full
+        table — the engine adopts the distinct-row table),
+        :meth:`fit_update`, :meth:`refresh_structure`, and the model
+        registry's streamed reload all end here.  Every statistic — pair
         co-occurrence, structure scores, CPT counts, domains — is
         computed from the distinct rows weighted by their
-        multiplicities, which the kernels guarantee bit-identical to
-        the whole-table walk.
+        multiplicities, which the kernels guarantee bit-identical to a
+        walk over every row.  ``encoding`` optionally interns
+        ``full_table`` (see :meth:`fit`).
         """
-        self.close_session()
         if not self.config.use_columnar:
             raise CleaningError(
                 "streaming fit requires the columnar path (use_columnar)"
             )
-        struct, senc, row_counts, row_firsts = stats.finalize()
-        names = struct.schema.names
-        n_stream = stats.n_rows
-        if full_table is not None and list(full_table.schema.names) != list(
-            names
-        ):
-            raise CleaningError(
-                "table schema does not match the accumulated statistics"
-            )
-        if (
-            encoding is not None
-            and full_table is not None
-            and (
-                encoding.n_rows != full_table.n_rows
-                or list(encoding.names) != list(names)
-            )
-        ):
-            raise CleaningError(
-                "encoding does not describe the fitted table "
-                f"({encoding.n_rows}×{len(encoding.names)} vs "
-                f"{full_table.n_rows}×{len(names)})"
-            )
+        self.close_session()
         tracer = self._ensure_fit_tracer()
         with Stopwatch(tracer, "fit_seconds") as timer, tracer.span(
             "fit", cat="fit", stream=True
         ):
-            if full_table is not None:
-                self.table = full_table
-                self._encoding = (
-                    encoding if encoding is not None else full_table.encode()
-                )
-            else:
-                self.table = struct
-                self._encoding = senc
-            self.composition = AttributeComposition(names)
-            self._node_table = self.table
-            self._suffstats = stats
-            self._stream_fitted = full_table is None
-            self._structure_stale = False
-            self._refit = (struct, senc, row_counts, row_firsts, n_stream)
-
-            use_ucs = self.config.use_ucs and self.constraints.n_constraints > 0
-            struct_conf = (
-                table_confidences(struct, self.constraints, self.config.lam)
-                if use_ucs
-                else None
-            )
-            if full_table is not None:
-                # clean() reads per-row confidences of the *fitted*
-                # table, so they must stay row-aligned with it.
-                self.confidences = (
-                    table_confidences(
-                        full_table, self.constraints, self.config.lam
-                    )
-                    if use_ucs
-                    else None
-                )
-            else:
-                self.confidences = struct_conf
-            weights = confidence_weights(
-                struct_conf, self.config.tau, self.config.beta, struct.n_rows
-            )
-
-            fit_executor = self.config.fit_executor
-            n_jobs = self.config.n_jobs or os.cpu_count() or 1
-            self._fit_diag = {
-                "stream_fit": {
-                    "n_rows": int(n_stream),
-                    "n_distinct": int(stats.n_distinct),
-                    "n_chunks": int(stats.n_chunks),
-                    "reservoir_exact": bool(stats.reservoir_exact),
-                }
-            }
-            if fit_executor == "auto":
-                # The streamed cost model: distinct rows × attribute
-                # pairs is what the sharded jobs actually scan.  Small
-                # fused tables stay serial — pool spin-up would dwarf
-                # the counting passes.
-                est = estimate_stream_fit_cost(struct.n_rows, len(names))
-                if n_jobs <= 1 or est < AUTO_FIT_COST_THRESHOLD:
-                    fit_executor = "serial"
-                self._fit_diag["auto"] = True
-            # One session spans pair counting, the parallel structure
-            # search, and CPT counting: the weighted coded columns ship
-            # to the workers exactly once.
-            self._fit_session = ExecSession(
-                build_fit_state(
-                    senc,
-                    names,
-                    weights,
-                    row_counts=row_counts,
-                    row_firsts=row_firsts,
-                    n_rows=n_stream,
-                ),
-                n_jobs,
-                persistent=self.config.persistent_pool,
-                tracer=tracer,
-            )
-            try:
-                with tracer.span("fit.cooccurrence", cat="fit"):
-                    pairs, diag = sharded_pair_arrays(
-                        senc,
-                        names,
-                        weights,
-                        fit_executor,
-                        n_jobs,
-                        session=self._fit_session,
-                    )
-                    self._fit_diag.update(
-                        {
-                            "fit_executor": diag["fit_executor"],
-                            "n_jobs": diag["n_jobs"],
-                            "pair_tasks": diag["n_pair_tasks"],
-                            "pair_shards": diag["n_shards"],
-                        }
-                    )
-                    self._merge_fit_flags(diag)
-                    if full_table is not None:
-                        self.cooc = CooccurrenceIndex(
-                            full_table,
-                            self.confidences,
-                            tau=self.config.tau,
-                            beta=self.config.beta,
-                            encoding=self._encoding,
-                            pair_arrays=pairs,
-                        )
-                    else:
-                        self.cooc = CooccurrenceIndex(
-                            struct,
-                            struct_conf,
-                            tau=self.config.tau,
-                            beta=self.config.beta,
-                            encoding=senc,
-                            pair_arrays=pairs,
-                            row_counts=row_counts,
-                            row_firsts=row_firsts,
-                            n_rows=n_stream,
-                        )
-                with tracer.span(
-                    "fit.structure", cat="fit", learner=self.config.structure
-                ):
-                    row_table = (
-                        full_table
-                        if full_table is not None
-                        else stats.reservoir_table()
-                    )
-                    if (
-                        dag is None
-                        and full_table is None
-                        and row_table.n_rows == 0
-                        and n_stream > 0
-                        and self.config.structure.lower() == "fdx"
-                    ):
-                        raise CleaningError(
-                            "streamed fdx structure learning needs the "
-                            "reservoir sample; set fit_reservoir_rows > 0"
-                        )
-                    self.dag = (
-                        dag
-                        if dag is not None
-                        else self._learn_structure(
-                            struct,
-                            senc,
-                            row_counts=row_counts,
-                            row_firsts=row_firsts,
-                            n_rows=n_stream,
-                            row_table=row_table,
-                            fit_executor=fit_executor,
-                            n_jobs=n_jobs,
-                        )
-                    )
-                unknown = set(self.dag.nodes) ^ set(names)
-                if unknown:
-                    raise CleaningError(
-                        f"DAG nodes do not match composition nodes: {sorted(unknown)}"
-                    )
-                with tracer.span("fit.cpts", cat="fit"):
-                    family_arrays = None
-                    if fit_executor != "serial":
-                        families = [
-                            (node, self.dag.parents(node))
-                            for node in self.dag.nodes
-                            if len(self.dag.parents(node)) != 1
-                        ]
-                        if families:
-                            family_arrays, fdiag = sharded_family_arrays(
-                                senc,
-                                names,
-                                families,
-                                weights,
-                                fit_executor,
-                                n_jobs,
-                                session=self._fit_session,
-                            )
-                            self._fit_diag["cpt_tasks"] = fdiag["n_cpt_tasks"]
-                            self._fit_diag["cpt_shards"] = fdiag["n_shards"]
-                            self._merge_fit_flags(fdiag)
-                    self.bn = DiscreteBayesNet.fit_columnar(
-                        struct,
-                        self.dag,
-                        alpha=self.config.smoothing_alpha,
-                        encoding=senc,
-                        cooc=self.cooc,
-                        family_arrays=family_arrays,
-                        row_counts=row_counts,
-                        row_firsts=row_firsts,
-                        n_rows=n_stream,
-                    )
-            finally:
-                self._fit_diag["pools_created"] = (
-                    self._fit_session.pools_created
-                )
-                self._fit_diag["snapshot_ships"] = (
-                    self._fit_session.snapshot_ships
-                )
-                self._fit_session.close()
-                self._fit_session = None
-
-            self.comp = CompensatoryScorer(
-                self.cooc, frequency_weight=self.config.frequency_weight
-            )
-            self.domains = DomainIndex(struct, row_counts=row_counts)
-            self.subnets = partition(self.dag)
-            self.pruner = DomainPruner(
-                self.cooc, top_k=self.config.domain_prune_top_k
-            )
-            self._uc_cache = {}
-            self._cell_cache = {}
-            self._columnar = None
-            self._domain_code_cache = {}
-            self._uc_mask_cache = {}
-            self._exec_diag = {}
+            self._fit_from_stats(stats, dag, full_table, encoding)
         self._fit_seconds = timer.seconds
         return self
 
+    def _fit_from_stats(
+        self,
+        stats: SuffStats,
+        dag: DAG | None,
+        full_table: Table | None,
+        encoding: TableEncoding | None,
+    ) -> None:
+        """The body of :meth:`fit_stats` (see there); runs inside the
+        caller's ``fit`` span and stopwatch."""
+        struct, senc, row_counts, row_firsts = stats.finalize()
+        names = struct.schema.names
+        n_stream = stats.n_rows
+        if full_table is not None and (
+            list(full_table.schema.names) != list(names)
+            or full_table.n_rows != n_stream
+        ):
+            raise CleaningError(
+                "table does not match the accumulated statistics"
+            )
+        tracer = self._obs
+        if full_table is not None:
+            self.table = full_table
+            self._encoding = (
+                encoding if encoding is not None else stats.encoding_of(full_table)
+            )
+        else:
+            self.table = struct
+            self._encoding = senc
+        self.composition = AttributeComposition(names)
+        self._node_table = self.table
+        self._suffstats = stats
+        self._stream_fitted = full_table is None
+        self._structure_stale = False
+
+        use_ucs = self.config.use_ucs and self.constraints.n_constraints > 0
+        # clean() reads per-row confidences of the *fitted* table, so
+        # they are computed over it; tuple confidence is a pure function
+        # of the row's values, so each struct row takes the value of its
+        # first occurrence.
+        self.confidences = (
+            table_confidences(self.table, self.constraints, self.config.lam)
+            if use_ucs
+            else None
+        )
+        struct_conf = self.confidences
+        if struct_conf is not None and full_table is not None:
+            struct_conf = np.asarray(struct_conf, dtype=np.float64)[row_firsts]
+        weights = confidence_weights(
+            struct_conf, self.config.tau, self.config.beta, struct.n_rows
+        )
+
+        fit_executor = self.config.fit_executor
+        n_jobs = self.config.n_jobs or os.cpu_count() or 1
+        self._fit_diag = {
+            "stream_fit": {
+                "n_rows": int(n_stream),
+                "n_distinct": int(stats.n_distinct),
+                "n_chunks": int(stats.n_chunks),
+                "reservoir_exact": bool(stats.reservoir_exact),
+            }
+        }
+        if fit_executor == "auto":
+            # The streamed cost model: distinct rows × attribute pairs
+            # is what the sharded jobs actually scan.  Small fused
+            # tables stay serial — pool spin-up would dwarf the
+            # counting passes.
+            est = estimate_stream_fit_cost(struct.n_rows, len(names))
+            if n_jobs <= 1 or est < AUTO_FIT_COST_THRESHOLD:
+                fit_executor = "serial"
+            self._fit_diag["auto"] = True
+        # One session spans pair counting, the parallel structure
+        # search, and CPT counting: the weighted coded columns ship to
+        # the workers exactly once.
+        self._fit_session = ExecSession(
+            build_fit_state(
+                senc,
+                names,
+                weights,
+                row_counts=row_counts,
+                row_firsts=row_firsts,
+                n_rows=n_stream,
+            ),
+            n_jobs,
+            persistent=self.config.persistent_pool,
+            tracer=tracer,
+        )
+        try:
+            with tracer.span("fit.cooccurrence", cat="fit"):
+                pairs, diag = sharded_pair_arrays(
+                    senc,
+                    names,
+                    weights,
+                    fit_executor,
+                    n_jobs,
+                    session=self._fit_session,
+                )
+                self._fit_diag.update(
+                    {
+                        "fit_executor": diag["fit_executor"],
+                        "n_jobs": diag["n_jobs"],
+                        "pair_tasks": diag["n_pair_tasks"],
+                        "pair_shards": diag["n_shards"],
+                    }
+                )
+                self._merge_fit_flags(diag)
+                # A full table carries every row itself; the struct
+                # table needs its multiplicities.
+                multiplicity = (
+                    {}
+                    if full_table is not None
+                    else {
+                        "row_counts": row_counts,
+                        "row_firsts": row_firsts,
+                        "n_rows": n_stream,
+                    }
+                )
+                self.cooc = CooccurrenceIndex(
+                    self.table,
+                    self.confidences,
+                    tau=self.config.tau,
+                    beta=self.config.beta,
+                    encoding=self._encoding,
+                    pair_arrays=pairs,
+                    **multiplicity,
+                )
+            with tracer.span(
+                "fit.structure", cat="fit", learner=self.config.structure
+            ):
+                row_table = (
+                    full_table
+                    if full_table is not None
+                    else stats.reservoir_table()
+                )
+                if (
+                    dag is None
+                    and full_table is None
+                    and row_table.n_rows == 0
+                    and n_stream > 0
+                    and self.config.structure.lower() == "fdx"
+                ):
+                    raise CleaningError(
+                        "streamed fdx structure learning needs the "
+                        "reservoir sample; set fit_reservoir_rows > 0"
+                    )
+                self.dag = (
+                    dag
+                    if dag is not None
+                    else self._learn_structure(
+                        struct,
+                        senc,
+                        row_counts=row_counts,
+                        row_firsts=row_firsts,
+                        n_rows=n_stream,
+                        row_table=row_table,
+                        fit_executor=fit_executor,
+                        n_jobs=n_jobs,
+                    )
+                )
+            self._check_dag_nodes(names)
+            with tracer.span("fit.cpts", cat="fit"):
+                family_arrays = None
+                if fit_executor != "serial":
+                    # Dispatch only the families the assembler cannot
+                    # re-slice from the co-occurrence pair arrays
+                    # (single-parent ones).
+                    families = [
+                        (node, self.dag.parents(node))
+                        for node in self.dag.nodes
+                        if len(self.dag.parents(node)) != 1
+                    ]
+                    if families:
+                        family_arrays, fdiag = sharded_family_arrays(
+                            senc,
+                            names,
+                            families,
+                            weights,
+                            fit_executor,
+                            n_jobs,
+                            session=self._fit_session,
+                        )
+                        self._fit_diag["cpt_tasks"] = fdiag["n_cpt_tasks"]
+                        self._fit_diag["cpt_shards"] = fdiag["n_shards"]
+                        self._merge_fit_flags(fdiag)
+                self.bn = DiscreteBayesNet.fit_columnar(
+                    struct,
+                    self.dag,
+                    alpha=self.config.smoothing_alpha,
+                    encoding=senc,
+                    cooc=self.cooc,
+                    family_arrays=family_arrays,
+                    row_counts=row_counts,
+                    row_firsts=row_firsts,
+                    n_rows=n_stream,
+                )
+        finally:
+            self._fit_diag["pools_created"] = self._fit_session.pools_created
+            self._fit_diag["snapshot_ships"] = self._fit_session.snapshot_ships
+            self._fit_session.close()
+            self._fit_session = None
+        self._reset_fitted_state(DomainIndex(struct, row_counts=row_counts))
+
+    def _check_dag_nodes(self, names: Sequence[str]) -> None:
+        """The learned or supplied DAG must cover exactly the BN nodes."""
+        unknown = set(self.dag.nodes) ^ set(names)
+        if unknown:
+            raise CleaningError(
+                f"DAG nodes do not match composition nodes: {sorted(unknown)}"
+            )
+
+    def _reset_fitted_state(self, domains: DomainIndex) -> None:
+        """The scorers and caches every fit derives from its fresh
+        statistics (the shared tail of both fit paths)."""
+        self.comp = CompensatoryScorer(
+            self.cooc, frequency_weight=self.config.frequency_weight
+        )
+        self.domains = domains
+        self.subnets = partition(self.dag)
+        self.pruner = DomainPruner(
+            self.cooc, top_k=self.config.domain_prune_top_k
+        )
+        self._uc_cache: dict[tuple[str, object], bool] = {}
+        self._cell_cache: dict[tuple, tuple[Cell, float, float]] = {}
+        self._columnar: ColumnarNetScorer | None = None
+        self._domain_code_cache: dict[str, np.ndarray] = {}
+        self._uc_mask_cache: dict[str, np.ndarray] = {}
+        self._exec_diag: dict = {}
+
     def fit_update(self, new_rows) -> "BClean":
         """Fold fresh rows into the fitted statistics and refit — the
-        incremental half of the streaming fit.
+        incremental half of the sufficient-statistics fit.
 
         ``new_rows`` (a :class:`~repro.dataset.table.Table` or an
         iterable of row tuples under the fitted schema) is merged into
@@ -706,18 +653,16 @@ class BClean:
         kept — structure re-scoring is deferred (``structure_stale``
         turns true) until :meth:`refresh_structure` — so
         ``fit(A); fit_update(B)`` carries exactly the statistics of
-        ``fit(A + B)`` under the same network.
-
-        A whole-table-fitted engine upgrades lazily: its table is
-        folded into fresh statistics first (one chunk), so the update
-        path is available without ever having streamed.
+        ``fit(A + B)`` under the same network.  Afterwards the engine's
+        fitted table is the distinct-row table of the merged stream.
+        Every columnar fit keeps its statistics, so this works after
+        :meth:`fit`, :meth:`fit_csv`, and a registry reload alike; the
+        scalar oracle fit keeps none and raises.
         """
-        if self.bn is None or self.table is None:
-            raise CleaningError("fit() must be called before fit_update()")
-        if not (self.config.use_columnar and self._singleton_composition()):
+        if self._suffstats is None:
             raise CleaningError(
-                "fit_update() requires the columnar path (use_columnar "
-                "with the singleton composition)"
+                "fit_update() requires a columnar fit (fit() with "
+                "use_columnar and the singleton composition)"
             )
         if isinstance(new_rows, Table):
             chunk = new_rows
@@ -725,73 +670,32 @@ class BClean:
             chunk = Table.from_rows(
                 self.table.schema, [tuple(row) for row in new_rows]
             )
-        stats = self._suffstats
-        if stats is None:
-            stats = suffstats_from_table(
-                self.table,
-                max(1, self.table.n_rows),
-                reservoir_rows=self.config.fit_reservoir_rows,
-            )
-        stats.update(chunk)
-        self.fit_stats(stats, dag=self.dag)
+        self._suffstats.update(chunk)
+        self.fit_stats(self._suffstats, dag=self.dag)
         self._structure_stale = True
         return self
 
     def refresh_structure(self) -> "BClean":
         """Re-learn the structure from the current statistics — the
         deferred half of :meth:`fit_update` (clears
-        ``structure_stale``)."""
+        ``structure_stale``).  An engine still holding the table it was
+        fitted on keeps it (and its encoding)."""
         if self._suffstats is None:
             raise CleaningError(
-                "refresh_structure() requires a streamed fit "
-                "(fit_csv/fit_update/fit with chunk_rows)"
+                "refresh_structure() requires a columnar fit (fit() with "
+                "use_columnar and the singleton composition)"
             )
-        return self.fit_stats(self._suffstats)
+        if self._stream_fitted:
+            return self.fit_stats(self._suffstats)
+        return self.fit_stats(
+            self._suffstats, full_table=self.table, encoding=self._encoding
+        )
 
     @property
     def structure_stale(self) -> bool:
         """Whether :meth:`fit_update` has folded in rows the DAG has
         not been re-scored against (see :meth:`refresh_structure`)."""
         return self._structure_stale
-
-    def _build_cooccurrence(
-        self, table: Table, fit_executor: str, n_jobs: int
-    ) -> CooccurrenceIndex:
-        """The co-occurrence index — per-pair builds sharded over the
-        ``fit_executor`` backends when one is configured."""
-        if fit_executor == "serial":
-            return CooccurrenceIndex(
-                table,
-                self.confidences,
-                tau=self.config.tau,
-                beta=self.config.beta,
-                encoding=self._encoding,
-            )
-        pairs, diag = sharded_pair_arrays(
-            self._encoding,
-            table.schema.names,
-            self._fit_session.state.weights,
-            fit_executor,
-            n_jobs,
-            session=self._fit_session,
-        )
-        self._fit_diag.update(
-            {
-                "fit_executor": diag["fit_executor"],
-                "n_jobs": diag["n_jobs"],
-                "pair_tasks": diag["n_pair_tasks"],
-                "pair_shards": diag["n_shards"],
-            }
-        )
-        self._merge_fit_flags(diag)
-        return CooccurrenceIndex(
-            table,
-            self.confidences,
-            tau=self.config.tau,
-            beta=self.config.beta,
-            encoding=self._encoding,
-            pair_arrays=pairs,
-        )
 
     def _merge_fit_flags(self, diag: Mapping) -> None:
         """Carry backend flags of one fit job into the fit diagnostics
@@ -810,50 +714,6 @@ class BClean:
         if reason and "ran_serially_reason" not in self._fit_diag:
             self._fit_diag["ran_serially_reason"] = reason
 
-    def _fit_network(
-        self,
-        node_table: Table,
-        columnar_fit: bool,
-        fit_executor: str,
-        n_jobs: int,
-    ) -> DiscreteBayesNet:
-        """Estimate the CPTs — coded counting on the columnar path
-        (sharded per node under a parallel ``fit_executor``), the scalar
-        dict walk otherwise."""
-        alpha = self.config.smoothing_alpha
-        if not columnar_fit:
-            return DiscreteBayesNet.fit(node_table, self.dag, alpha=alpha)
-        family_arrays = None
-        if fit_executor != "serial":
-            # Dispatch only the families the assembler cannot re-slice
-            # from the co-occurrence pair arrays (single-parent ones).
-            families = [
-                (node, self.dag.parents(node))
-                for node in self.dag.nodes
-                if len(self.dag.parents(node)) != 1
-            ]
-            if families:
-                family_arrays, diag = sharded_family_arrays(
-                    self._encoding,
-                    node_table.schema.names,
-                    families,
-                    self.cooc.row_weights,
-                    fit_executor,
-                    n_jobs,
-                    session=self._fit_session,
-                )
-                self._fit_diag["cpt_tasks"] = diag["n_cpt_tasks"]
-                self._fit_diag["cpt_shards"] = diag["n_shards"]
-                self._merge_fit_flags(diag)
-        return DiscreteBayesNet.fit_columnar(
-            node_table,
-            self.dag,
-            alpha=alpha,
-            encoding=self._encoding,
-            cooc=self.cooc,
-            family_arrays=family_arrays,
-        )
-
     def _learn_structure(
         self,
         node_table: Table,
@@ -867,10 +727,11 @@ class BClean:
     ) -> DAG:
         """Dispatch to the configured structure learner.
 
-        Streamed fits pass the distinct-row table with its
+        Columnar fits pass the distinct-row table with its
         ``row_counts``/``row_firsts``/``n_rows`` multiplicities (scores
         and G² tests then match the full stream bit for bit) plus a
-        ``row_table`` for the row-level learners (fdx); with a parallel
+        ``row_table`` for the row-level learners (fdx); the scalar
+        oracle passes the node table alone.  With a parallel
         ``fit_executor`` and a live fit session, MMHC shards its
         independence tests and score evaluations over the session
         backends.
@@ -924,11 +785,10 @@ class BClean:
         ``refit_nodes`` restricts CPT re-estimation to the touched
         attributes; ``None`` refits everything.
 
-        On the columnar path (including every streamed fit) the refit
-        runs through the coded counting of
-        :meth:`DiscreteBayesNet.fit_columnar` — byte-identical CPTs to
-        the scalar walk, without re-interning a cell; the scalar walk
-        remains the path for merged-node compositions.
+        On the columnar path the refit counts the fit's sufficient
+        statistics through :meth:`DiscreteBayesNet.fit_columnar` —
+        byte-identical CPTs to the scalar walk, without re-interning a
+        cell; the scalar walk remains the path for the oracle fit.
         """
         if self.table is None or self.bn is None:
             raise CleaningError("fit() must be called before set_network()")
@@ -938,17 +798,17 @@ class BClean:
         self.close_session()
         self.dag = dag
         alpha = self.config.smoothing_alpha
-        if self._refit is not None:
-            rtable, renc, row_counts, row_firsts, n_rows = self._refit
+        if self._suffstats is not None:
+            struct, senc, row_counts, row_firsts = self._suffstats.finalize()
             fitted = DiscreteBayesNet.fit_columnar(
-                rtable,
+                struct,
                 dag,
                 alpha=alpha,
-                encoding=renc,
+                encoding=senc,
                 cooc=self.cooc,
                 row_counts=row_counts,
                 row_firsts=row_firsts,
-                n_rows=n_rows,
+                n_rows=self._suffstats.n_rows,
             )
             if refit_nodes is None:
                 self.bn = fitted

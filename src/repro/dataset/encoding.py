@@ -80,6 +80,14 @@ class AttributeVocabulary:
         """Code of ``value`` (:data:`UNSEEN_CODE` if never interned)."""
         return self._code_of.get(cell_key(value), UNSEEN_CODE)
 
+    def copy(self) -> "AttributeVocabulary":
+        """An independent copy: later interning into either vocabulary
+        leaves the other untouched."""
+        twin = AttributeVocabulary(self.attribute)
+        twin._code_of = dict(self._code_of)
+        twin._values = list(self._values)
+        return twin
+
     def decode(self, code: int) -> Cell:
         """Representative cell value of ``code``."""
         return self._values[code]
@@ -145,6 +153,30 @@ class TableEncoding:
             )
             self._vocabs[name] = vocab
             self._codes[name] = codes
+
+    @classmethod
+    def from_codes(
+        cls,
+        table: Table,
+        vocabs: dict[str, AttributeVocabulary],
+        codes: dict[str, np.ndarray],
+    ) -> "TableEncoding":
+        """Encoding of ``table`` assembled from copies of already-built
+        vocabularies and the given coded columns (never written, so they
+        may be shared), skipping the per-cell interning pass.
+        ``codes[name]`` must be exactly what interning ``table``'s column
+        under ``vocabs[name]`` gives."""
+        enc = cls.__new__(cls)
+        enc.names = list(table.schema.names)
+        enc._index_of = {a: j for j, a in enumerate(enc.names)}
+        enc.n_rows = table.n_rows
+        enc._source = table
+        enc._source_mutations = table.mutation_count
+        enc._vocabs = {a: vocabs[a].copy() for a in enc.names}
+        enc._codes = {
+            a: np.ascontiguousarray(codes[a], dtype=np.int64) for a in enc.names
+        }
+        return enc
 
     # -- access ----------------------------------------------------------------
 

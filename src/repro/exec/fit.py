@@ -56,6 +56,7 @@ import numpy as np
 from repro.core.cooccurrence import (
     PairArrays,
     build_pair_arrays,
+    reliability_classes,
 )
 from repro.errors import CleaningError
 from repro.exec.planner import (
@@ -126,7 +127,9 @@ class FitJobState:
     cards:
         Build-time vocabulary cardinality per column.
     weights:
-        Per-row confidence weights (Algorithm 2's +1 / −β).
+        Per-row confidence weights (Algorithm 2's +1 / −β); their
+        :func:`~repro.core.cooccurrence.reliability_classes` are
+        derived once here for every pair build.
     names:
         Attribute names aligned with ``columns`` (required by the
         name-keyed structure-search tasks).
@@ -134,8 +137,8 @@ class FitJobState:
         Deduplicated-stream form (:mod:`repro.exec.fit_stream`): the
         columns then hold the stream's distinct rows, row ``i`` counted
         ``row_counts[i]`` times and first seen at global stream index
-        ``row_firsts[i]``, out of ``n_rows`` total.  ``None`` for a
-        plain whole-table fit.
+        ``row_firsts[i]``, out of ``n_rows`` total.  ``None`` when
+        every row is its own (the engine's fits always pass them).
     """
 
     def __init__(
@@ -155,6 +158,7 @@ class FitJobState:
         self.row_counts = row_counts
         self.row_firsts = row_firsts
         self.n_rows = int(n_rows) if n_rows is not None else len(weights)
+        self.classes = reliability_classes(weights, row_counts)
 
     def run_shard(self, shard: Shard, tasks: FitTasks) -> FitShardResult:
         """Run one slice of fit tasks (a pure function of the snapshot
@@ -171,6 +175,7 @@ class FitJobState:
                     self.weights,
                     self.row_counts,
                     self.row_firsts,
+                    self.classes,
                 )
                 payloads.append(built)
         elif shard.column == CPT_TASKS:

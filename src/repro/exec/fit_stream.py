@@ -1,18 +1,21 @@
-"""Streaming out-of-core fit: mergeable sufficient statistics.
+"""Mergeable sufficient statistics: the one columnar fit path.
 
-``BClean.fit_csv`` (and ``fit(table, chunk_rows=...)``) must never hold
-more than one row block in memory, yet produce the **byte-identical**
-DAG, CPTs, and downstream repairs of the whole-table fit.  The key
-observation: every statistic the fit consumes — co-occurrence pair
-counts, per-family CPT counts, marginals, entropies, G² tests, family
-scores — is a pure function of the *multiset of row signatures*, plus
-first-appearance indices for deterministic ordering.  So the streaming
-fit folds each chunk into a :class:`SuffStats` accumulator holding only
-the stream's **distinct coded rows** with int64 multiplicities and
-global first-appearance indices, and the downstream kernels
-(:func:`~repro.stats.infotheory.joint_code_counts`,
+Every statistic the fit consumes — co-occurrence pair counts,
+per-family CPT counts, marginals, entropies, G² tests, family scores —
+is a pure function of the *multiset of row signatures*, plus
+first-appearance indices for deterministic ordering.  So every
+columnar fit folds its rows into a :class:`SuffStats` accumulator
+holding only the stream's **distinct coded rows** with int64
+multiplicities and global first-appearance indices, and the downstream
+kernels (:func:`~repro.stats.infotheory.joint_code_counts`,
 :func:`~repro.core.cooccurrence.build_pair_arrays`) accept
 ``row_counts`` / ``row_firsts`` to weight them back up exactly.
+``BClean.fit(table)`` folds an in-memory table as one block (and keeps
+the table as the fitted one); ``fit(table, chunk_rows=...)`` and
+``BClean.fit_csv`` fold row blocks, never holding more than one in
+memory, yet produce the **byte-identical** DAG, CPTs, and downstream
+repairs of the one-block fit; ``fit_update`` folds more rows into the
+same accumulator.
 
 Three invariants make the equivalence *bit*-level, not just
 statistical:
@@ -23,9 +26,11 @@ statistical:
   finalized distinct-row table keeps its rows in global
   first-appearance order, so a value's first appearance *in the struct
   table* is exactly the signature that carried its first appearance *in
-  the stream* — re-encoding the struct table therefore reproduces the
-  full stream's vocabularies code for code (NULL = 0, then
-  first-appearance order).
+  the stream* — the struct table's encoding (a copy of the
+  accumulator's) is therefore also what re-interning it would give:
+  the full stream's vocabularies code for code (NULL = 0, then
+  first-appearance order).  A one-block ``fit(table)`` keeps a copy of
+  the accumulator's encoding as the table's own.
 - **Integer-exact weighting.**  All raw counts are multiplicity sums
   (``np.bincount``, exact below 2**53) — the same integers a
   whole-stream ``return_counts`` pass yields; confidence-weighted pair
@@ -43,8 +48,9 @@ sorts raw tuples, so the accumulator keeps a bounded **reservoir
 sample** (Algorithm R, seeded, one draw per row past the cap — the
 sample is a deterministic function of the stream alone, invariant to
 chunk boundaries).  Streams no longer than the reservoir cap reproduce
-the whole table exactly; ``fit(table, chunk_rows=...)`` always profiles
-the real table.
+the whole table exactly; ``fit(table)`` always profiles the real table
+and keeps the reservoir for a later ``fit_update`` +
+``refresh_structure``.
 """
 
 from __future__ import annotations
@@ -121,17 +127,18 @@ class SuffStats:
                 f"{list(chunk.schema.names)} vs {list(self.schema.names)}"
             )
         self.n_chunks += 1
+        if self._acc is None:
+            # First block (even an empty one): build the accumulating
+            # encoding over it (codes minted in stream order); later
+            # blocks intern incrementally.
+            self._acc = TableEncoding(chunk)
+            matrix = self._acc.matrix()
+        elif chunk.n_rows:
+            matrix = self._acc.encode_table(chunk)
         if chunk.n_rows == 0:
             return self
         self._final = None
         offset = self.n_rows
-        if self._acc is None:
-            # First block: build the accumulating encoding over it (codes
-            # minted in stream order); later blocks intern incrementally.
-            self._acc = TableEncoding(chunk)
-            matrix = self._acc.matrix()
-        else:
-            matrix = self._acc.encode_table(chunk)
 
         uniq, first_idx, inverse, cnts = np.unique(
             matrix,
@@ -181,10 +188,11 @@ class SuffStats:
 
         ``table`` holds the distinct row signatures in global
         first-appearance order (representative cell values, decoded
-        through the accumulating vocabularies); ``encoding`` is a fresh
-        :class:`~repro.dataset.encoding.TableEncoding` of it — identical,
-        code for code, to the encoding of the full stream.  Cached until
-        the next :meth:`update`.
+        through the accumulating vocabularies); ``encoding`` is an
+        independent copy of the accumulating encoding over it —
+        identical, code for code, to the encoding of the full stream,
+        and to a fresh interning of ``table`` (first-appearance order
+        mints the same codes).  Cached until the next :meth:`update`.
         """
         if self._final is not None:
             return self._final
@@ -199,16 +207,15 @@ class SuffStats:
         columns = []
         for j, name in enumerate(names):
             vocab = self._acc.vocab(name)
-            columns.append([vocab.decode(int(c)) for c in matrix[:, j]])
+            columns.append([vocab.decode(c) for c in matrix[:, j].tolist()])
         table = Table(self.schema, columns)
-        encoding = TableEncoding(table)
-        for name in names:
-            if encoding.card(name) != self._acc.card(name):
-                raise CleaningError(
-                    f"struct vocabulary of {name!r} diverged from the "
-                    "stream's — distinct-row order lost first-appearance "
-                    "order"
-                )
+        # The distinct rows carry the stream's own codes, so their
+        # encoding is the accumulator's, code for code.
+        encoding = TableEncoding.from_codes(
+            table,
+            {name: self._acc.vocab(name) for name in names},
+            {name: matrix[:, j] for j, name in enumerate(names)},
+        )
         self._final = (
             table,
             encoding,
@@ -216,6 +223,27 @@ class SuffStats:
             np.asarray(self._firsts, dtype=np.int64),
         )
         return self._final
+
+    def encoding_of(self, table: Table) -> TableEncoding:
+        """Encoding of ``table``, the full stream these statistics were
+        folded from.  A one-block fold of ``table`` already interned
+        exactly its cells, so that encoding is copied instead of
+        interning ``table`` a second time."""
+        acc = self._acc
+        source = acc._source
+        if (
+            self.n_chunks == 1
+            and source is not None
+            and source.n_rows == table.n_rows
+            and source.columns == table.columns
+        ):
+            names = acc.names
+            return TableEncoding.from_codes(
+                table,
+                {name: acc.vocab(name) for name in names},
+                {name: acc.codes(name) for name in names},
+            )
+        return table.encode()
 
     @property
     def table(self) -> Table:
@@ -275,11 +303,17 @@ class SuffStats:
         which preserves the row *population* but not the original
         sample, so a later FDX re-profile may differ from the
         never-persisted engine's.
+
+        ``encoding`` stays the finalized encoding (the engine's, with
+        every code it minted for foreign tables); the accumulator
+        re-interns the distinct rows instead, so those minted codes —
+        which no stream row holds — never enter the stream's
+        vocabularies on a later :meth:`update`.
         """
         stats = cls(reservoir_rows=reservoir_rows, seed=seed)
         stats.schema = table.schema
-        stats._acc = encoding
-        matrix = encoding.matrix()
+        stats._acc = TableEncoding(table)
+        matrix = stats._acc.matrix()
         stats._rows = [matrix[i] for i in range(table.n_rows)]
         stats._counts = [int(c) for c in row_counts]
         stats._firsts = [int(f) for f in row_firsts]
@@ -354,8 +388,8 @@ def suffstats_from_table(
     tracer=None,
 ) -> SuffStats:
     """Accumulate statistics over an in-memory table in row blocks —
-    exercising the exact chunked code path of the CSV stream (identity
-    tests run both against the whole-table fit)."""
+    the exact chunked code path of the CSV stream (``BClean.fit``
+    folds its table through here, as one block by default)."""
     return suffstats_from_chunks(
         iter_table_chunks(table, chunk_rows),
         reservoir_rows=reservoir_rows,

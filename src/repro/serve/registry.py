@@ -271,9 +271,9 @@ class ModelRegistry:
         stream = payload.get("stream")
         if stream is not None:
             # Streamed model: the persisted table holds distinct row
-            # signatures — rehydrate the sufficient statistics and refit
-            # through the weighted path, never the plain (unweighted)
-            # whole-table fit.
+            # signatures — rehydrate their multiplicities and refit
+            # from them; folding the table itself would count each
+            # distinct row once.
             stats = SuffStats.from_finalized(
                 table,
                 encoding,

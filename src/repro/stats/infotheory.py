@@ -70,12 +70,14 @@ def _weighted_counts_firsts(
     indices) onto distinct-key slots.
 
     Equivalent to counting each deduplicated input row ``row_counts``
-    times: the counts are exact int64 sums, and the first-appearance
+    times: the counts are exact int64 sums (``np.bincount`` adds them
+    as float64, exact below 2**53), and the first-appearance
     index of a configuration is the minimum ``row_firsts`` over the
     deduplicated rows that map to it (a configuration first appears in
     whichever of its carrier rows appeared first)."""
-    counts = np.zeros(n_keys, dtype=np.int64)
-    np.add.at(counts, inverse, row_counts)
+    counts = np.bincount(inverse, weights=row_counts, minlength=n_keys).astype(
+        np.int64
+    )
     if row_firsts is None:
         return counts, first_fallback
     first = np.full(n_keys, np.iinfo(np.int64).max, dtype=np.int64)

@@ -36,6 +36,18 @@ class TestPathologicalTables:
         result = clean_table(table, BCleanConfig.pi())
         assert result.cleaned == table  # nothing else to prefer
 
+    @pytest.mark.parametrize("chunk_rows", [None, 4])
+    def test_empty_table_fits_and_cleans(self, chunk_rows):
+        """A header-only table folds into empty sufficient statistics
+        (one block or chunked) and cleans to nothing."""
+        table = Table.from_rows(
+            Schema.of("a:categorical", "b:categorical"), []
+        )
+        engine = BClean(BCleanConfig.pi()).fit(table, chunk_rows=chunk_rows)
+        result = engine.clean()
+        assert result.repairs == []
+        assert result.cleaned.n_rows == 0
+
     def test_constant_column_untouched(self):
         schema = Schema.of("const:categorical", "var:categorical")
         rows = [["same", f"v{i % 3}"] for i in range(60)]

@@ -402,12 +402,51 @@ class TestFitUpdate:
         with pytest.raises(CleaningError):
             engine.fit_update([["a", "b", "c"]])
 
-    def test_refresh_structure_requires_stream_stats(self):
+    def test_refresh_structure_after_plain_fit_relearns_same_dag(self):
+        """A plain fit keeps its sufficient statistics: refreshing the
+        structure re-learns the same network and keeps the fitted
+        table."""
         dirty = build_dirty_table(seed=6)
         engine = BClean(BCleanConfig.pi(structure="hillclimb"))
-        engine.fit(dirty)  # plain fit keeps no accumulator
+        engine.fit(dirty)
+        before = engine.bn
+        repairs = repair_tuples(engine.clean())
+        engine.refresh_structure()
+        assert not engine.structure_stale
+        assert engine.table is dirty
+        assert_same_network(before, engine.bn)
+        assert repair_tuples(engine.clean()) == repairs
+
+    def test_scalar_fit_rejects_update_and_refresh(self):
+        """The scalar oracle fit keeps no sufficient statistics."""
+        dirty = build_dirty_table(seed=6)
+        engine = BClean(
+            BCleanConfig.pi(structure="hillclimb", use_columnar=False)
+        )
+        engine.fit(dirty)
+        with pytest.raises(CleaningError):
+            engine.fit_update(dirty.slice_rows(0, 10))
         with pytest.raises(CleaningError):
             engine.refresh_structure()
+
+    def test_plain_fit_update_refresh_equals_fit_of_union_fdx(self):
+        """fit(A) → fit_update(B) → refresh_structure() == fit(A + B)
+        under PIP with the row-level FDX learner: the plain fit's
+        statistics keep the configured reservoir, which the refresh
+        profiles instead of the (no longer held) full table."""
+        dirty = build_dirty_table(seed=9, n_rows=180)
+        whole = BClean(BCleanConfig.pip())
+        whole.fit(dirty)
+
+        grown = BClean(BCleanConfig.pip())
+        grown.fit(dirty.slice_rows(0, 120))
+        grown.fit_update(dirty.slice_rows(120, dirty.n_rows))
+        grown.refresh_structure()
+        assert whole.config.structure == "fdx"
+        assert_same_network(whole.bn, grown.bn)
+        assert repair_tuples(whole.clean(dirty)) == repair_tuples(
+            grown.clean(dirty)
+        )
 
 
 class TestSetNetworkCodedRefit:
@@ -583,6 +622,30 @@ class TestRegistryStreamedModels:
         rb = reloaded.clean_csv(csv_path, out_b)
         assert repair_tuples(ra) == repair_tuples(rb)
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_reloaded_model_folds_rows_after_foreign_clean(
+        self, csv_path, tmp_path
+    ):
+        """Cleaning a foreign table mints codes into the reloaded
+        engine's encoding; a later fit_update must still fold rows and
+        match the never-persisted engine (the minted codes belong to the
+        engine's encoding, not to the stream's statistics)."""
+        registry = ModelRegistry(tmp_path / "models")
+        config = BCleanConfig.pi(structure="hillclimb")
+        engine, _ = registry.fit_or_load_csv(
+            csv_path, config=config, chunk_rows=64
+        )
+        reloaded = registry.load(engine.table.schema.names)
+        foreign = build_dirty_table(seed=31, n_rows=20)
+        foreign.set_cell(0, "key", "NEVER-SEEN")
+        fresh = build_dirty_table(seed=29, n_rows=40)
+        for e in (engine, reloaded):
+            e.clean(foreign)
+            e.fit_update(fresh)
+        assert_same_network(engine.bn, reloaded.bn)
+        assert repair_tuples(engine.clean(foreign)) == repair_tuples(
+            reloaded.clean(foreign)
+        )
 
 
 # -- CI smoke: traced chunked streaming fit end to end -------------------------
